@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 
 from ..hardware.dasd import DasdDevice
-from ..runner import build_loaded_sysplex
+from ..runner import loaded_sysplex
 from ..runspec import RunSpec
 from ..simkernel import Tally
 from ..subsystems.logmgr import LogManager
@@ -50,12 +50,16 @@ def granularity_specs(n_systems: int = 4, hot_records: int = 800,
 
 def run_case_spec(spec: RunSpec) -> dict:
     """Scenario runner: hot keyed updates at one lock granularity."""
+    options = spec.options.replace(terminals_per_system=0)
+    with loaded_sysplex(spec.config, options) as point:
+        return _granularity_case(point.plex, spec)
+
+
+def _granularity_case(plex, spec: RunSpec) -> dict:
     granularity = spec.params["granularity"]
     hot_records = spec.params["hot_records"]
     config = spec.config
     duration, warmup = spec.duration, spec.warmup
-    plex, gen = build_loaded_sysplex(
-        config, options=spec.options.replace(terminals_per_system=0))
     catalog = VsamCatalog(first_page=10_000_000)
     catalog.define("HOT", max_cis=2_000, records_per_ci=20)
 

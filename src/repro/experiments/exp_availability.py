@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..options import RunOptions
-from ..runner import build_loaded_sysplex
+from ..runner import loaded_sysplex
 from ..runspec import RunSpec
 from .common import Execution, print_rows, scaled_config, sweep
 
@@ -58,14 +58,17 @@ def availability_spec(n_systems: int = 4,
 
 def run_unplanned_spec(spec: RunSpec) -> Dict:
     """Scenario runner: kill one of N systems, report the timeline."""
-    config = spec.config
-    n_systems = config.n_systems
-    window = spec.params["window"]
     # per-system capacity at ~360tps/engine; offered at fraction of total
     per_system_capacity = 330.0
     offered = per_system_capacity * spec.params["offered_fraction"]
-    plex, gen = build_loaded_sysplex(
-        config, options=spec.options.replace(offered_tps_per_system=offered))
+    options = spec.options.replace(offered_tps_per_system=offered)
+    with loaded_sysplex(spec.config, options) as point:
+        return _unplanned(point.plex, spec, offered)
+
+
+def _unplanned(plex, spec: RunSpec, offered: float) -> Dict:
+    n_systems = spec.config.n_systems
+    window = spec.params["window"]
     fail_at = 3 * window
     victim = plex.nodes[n_systems - 1]
     plex.injector.crash_system(victim, at=fail_at)
@@ -134,10 +137,13 @@ def rolling_spec(n_systems: int = 3,
 
 def run_rolling_spec(spec: RunSpec) -> Dict:
     """Scenario runner: outages rolled one system at a time (§2.5)."""
-    config = spec.config
-    n_systems = config.n_systems
+    with loaded_sysplex(spec.config, spec.options) as point:
+        return _rolling(point.plex, spec)
+
+
+def _rolling(plex, spec: RunSpec) -> Dict:
+    n_systems = spec.config.n_systems
     outage = spec.params["outage"]
-    plex, gen = build_loaded_sysplex(config, options=spec.options)
     plex.injector.rolling_maintenance(plex.nodes, start=1.0, outage=outage,
                                       gap=1.5)
     total = 1.0 + n_systems * (outage + 1.5) + 1.0

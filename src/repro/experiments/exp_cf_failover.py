@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..runner import build_loaded_sysplex
+from ..runner import loaded_sysplex
 from ..runspec import RunSpec
 from .common import Execution, print_rows, scaled_config, sweep
 
@@ -37,9 +37,12 @@ def cf_failover_spec(n_systems: int = 4,
 
 def run_cf_failover_spec(spec: RunSpec) -> Dict:
     """Scenario runner: lose 1 of 2 CFs mid-run, watch the rebuild."""
-    config = spec.config
+    with loaded_sysplex(spec.config, spec.options) as point:
+        return _cf_failover(point.plex, spec)
+
+
+def _cf_failover(plex, spec: RunSpec) -> Dict:
     window = spec.params["window"]
-    plex, gen = build_loaded_sysplex(config, options=spec.options)
     fail_at = 4 * window
     plex.sim.call_at(fail_at,
                      lambda: plex.xes.find("IRLMLOCK1").facility.fail())

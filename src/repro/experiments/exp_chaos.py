@@ -33,7 +33,7 @@ from ..chaos import (
 from ..config import MILLI, CfConfig
 from ..invariants import InvariantChecker, check_reconvergence
 from ..options import RunOptions
-from ..runner import build_loaded_sysplex
+from ..runner import loaded_sysplex
 from ..runspec import RunSpec
 from .common import Execution, print_rows, scaled_config, sweep
 
@@ -108,11 +108,15 @@ def chaos_spec(n_systems: int = 3,
 
 def run_chaos_spec(spec: RunSpec) -> Dict:
     """Scenario runner: chaos + invariants over one seeded sysplex."""
+    with loaded_sysplex(spec.config, spec.options) as point:
+        return _run_chaos(point.plex, point.gen, spec)
+
+
+def _run_chaos(plex, gen, spec: RunSpec) -> Dict:
     chaos_cfg = ChaosConfig.from_dict(spec.params["chaos"])
     window = spec.params["window"]
     total = chaos_cfg.horizon + spec.params["drain"]
 
-    plex, gen = build_loaded_sysplex(spec.config, options=spec.options)
     engine = ChaosEngine(plex, chaos_cfg)
     engine.arm()
     checker = InvariantChecker(

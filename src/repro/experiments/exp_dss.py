@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..runner import build_loaded_sysplex
+from ..runner import loaded_sysplex
 from ..runspec import RunSpec
 from ..workloads.dss import Query, QuerySplitter
 from .common import Execution, print_rows, scaled_config, sweep
@@ -44,11 +44,15 @@ def dss_specs(n_systems: int = 8,
 
 def run_case_spec(spec: RunSpec) -> dict:
     """Scenario runner: one scan query at one decomposition degree."""
+    options = spec.options.replace(terminals_per_system=0)
+    with loaded_sysplex(spec.config, options) as point:
+        return _scan_case(point.plex, spec)
+
+
+def _scan_case(plex, spec: RunSpec) -> dict:
     p = spec.params["parallelism"]
     scan_pages = spec.params["scan_pages"]
     config = spec.config
-    plex, gen = build_loaded_sysplex(
-        config, options=spec.options.replace(terminals_per_system=0))
     splitter = QuerySplitter(plex.sim, plex.nodes, plex.farm, plex.wlm,
                              config.xcf)
     elapsed: List[float] = []

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..config import CfConfig
-from ..runner import build_loaded_sysplex
+from ..runner import loaded_sysplex
 from ..runspec import RunSpec
 from .common import Execution, print_rows, scaled_config, sweep
 
@@ -69,9 +69,12 @@ def run_duplex_spec(spec: RunSpec) -> Dict:
     failure takes; the SFM incident log carries the measured recovery
     times either way.
     """
-    config = spec.config
+    with loaded_sysplex(spec.config, spec.options) as point:
+        return _duplex_failover(point.plex, spec)
+
+
+def _duplex_failover(plex, spec: RunSpec) -> Dict:
     window = spec.params["window"]
-    plex, gen = build_loaded_sysplex(config, options=spec.options)
     fail_at = 4 * window
     # with duplexing on, every primary lives in the first CF, so failing
     # the lock structure's facility hits all primaries at once — the
@@ -105,7 +108,7 @@ def run_duplex_spec(spec: RunSpec) -> Dict:
         "timeline": timeline,
         "sfm": sfm,
         "summary": {
-            "duplex": config.cf.duplex,
+            "duplex": spec.config.cf.duplex,
             "fail_at": fail_at,
             "switches": plex.metrics.counter("cf.switches").count,
             "rebuilds": plex.metrics.counter("cf.rebuilds").count,

@@ -18,7 +18,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..runner import build_loaded_sysplex
+from ..runner import loaded_sysplex
 from ..runspec import RunSpec
 from ..subsystems.vtam import GenericResources
 from .common import Execution, print_rows, scaled_config, sweep
@@ -41,12 +41,15 @@ def generic_resources_spec(n_systems: int = 4,
 
 def run_gr_spec(spec: RunSpec) -> Dict:
     """Scenario runner: GR vs static session placement + failure rebind."""
-    config = spec.config
-    n_systems = config.n_systems
+    options = spec.options.replace(terminals_per_system=0)
+    with loaded_sysplex(spec.config, options) as point:
+        return _generic_resources(point.plex, spec)
+
+
+def _generic_resources(plex, spec: RunSpec) -> Dict:
+    n_systems = spec.config.n_systems
     n_users = spec.params["n_users"]
     seed = spec.params["seed"]
-    plex, gen = build_loaded_sysplex(
-        config, options=spec.options.replace(terminals_per_system=0))
     connections = {
         name: inst.xes_list for name, inst in plex.instances.items()
     }

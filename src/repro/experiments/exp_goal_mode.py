@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..options import RunOptions
-from ..runner import build_loaded_sysplex
+from ..runner import loaded_sysplex
 from ..runspec import RunSpec
 from ..workloads.dss import Query, QuerySplitter
 from .common import Execution, print_rows, scaled_config, sweep
@@ -54,10 +54,14 @@ def goal_mode_specs(duration: float = 1.2, seed: int = 1) -> List[RunSpec]:
 
 def run_case_spec(spec: RunSpec) -> dict:
     """Scenario runner: OLTP + query stream under one dispatch policy."""
+    with loaded_sysplex(spec.config, spec.options) as point:
+        return _policy_case(point.plex, spec)
+
+
+def _policy_case(plex, spec: RunSpec) -> dict:
     label = spec.label
     with_batch = spec.params["with_batch"]
     use_policy = spec.params["use_policy"]
-    plex, gen = build_loaded_sysplex(spec.config, options=spec.options)
     wlm = plex.wlm
     wlm.define_service_class("QUERY", response_goal=5.0, importance=5)
     splitter = QuerySplitter(plex.sim, plex.nodes, plex.farm, wlm,

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from ..baselines.partitioned import PartitionedCluster
 from ..options import RunOptions
-from ..runner import build_loaded_sysplex
+from ..runner import loaded_sysplex
 from ..runspec import RunSpec
 from ..workloads.oltp import OltpGenerator
 from .common import Execution, print_rows, scaled_config, sweep
@@ -59,10 +59,14 @@ def growth_specs(n_initial: int = 3,
 
 def run_sysplex_spec(spec: RunSpec) -> Dict:
     """Scenario runner: a system joins the sysplex non-disruptively."""
+    with loaded_sysplex(spec.config, spec.options) as point:
+        return _growth(point.plex, point.gen, spec)
+
+
+def _growth(plex, gen, spec: RunSpec) -> Dict:
     n_initial = spec.params["n_initial"]
     window = spec.params["window"]
     add_at = 4 * window
-    plex, gen = build_loaded_sysplex(spec.config, options=spec.options)
     counter = plex.metrics.counter("txn.completed")
     timeline: List[dict] = []
     prev = 0

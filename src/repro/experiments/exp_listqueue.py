@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..options import RunOptions
-from ..runner import build_loaded_sysplex
+from ..runner import loaded_sysplex
 from ..runspec import RunSpec
 from ..subsystems.txn import ListQueueRouter
 from .common import QUICK, Execution, print_rows, scaled_config, sweep
@@ -47,11 +47,14 @@ def listqueue_specs(n_systems: int = 4,
 
 def run_case_spec(spec: RunSpec) -> dict:
     """Scenario runner: one distribution scheme under one front-end."""
+    options = spec.options.replace(offered_tps_per_system=0.0)
+    with loaded_sysplex(spec.config, options) as point:
+        return _distribution_case(point.plex, point.gen, spec)
+
+
+def _distribution_case(plex, gen, spec: RunSpec) -> dict:
     mode = spec.params["mode"]
     offered_total = spec.params["offered_total"]
-    plex, gen = build_loaded_sysplex(
-        spec.config,
-        options=spec.options.replace(offered_tps_per_system=0.0))
     if mode == "shared-cf-list":
         connections = {
             name: inst.xes_list

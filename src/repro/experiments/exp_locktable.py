@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 
 from ..cf.lock import LockMode
-from ..runner import build_loaded_sysplex
+from ..runner import loaded_sysplex
 from ..runspec import RunSpec
 from ..simkernel import Tally
 from .common import QUICK, Execution, print_rows, scaled_config, sweep
@@ -58,8 +58,12 @@ def locktable_specs(sizes: Sequence[int] = TABLE_SIZES,
 
 def run_table_spec(spec: RunSpec) -> dict:
     """Scenario runner: contention rates at one lock-table size."""
+    with loaded_sysplex(spec.config, spec.options) as point:
+        return _table_case(point.plex, spec)
+
+
+def _table_case(plex, spec: RunSpec) -> dict:
     size = spec.config.cf.lock_table_entries
-    plex, gen = build_loaded_sysplex(spec.config, options=spec.options)
     plex.sim.run(until=spec.warmup)
     structure = plex.xes.find("IRLMLOCK1")
     req0 = structure.requests
@@ -101,9 +105,13 @@ def grant_latency_spec(n_samples: int = 400, seed: int = 1) -> RunSpec:
 
 def run_latency_spec(spec: RunSpec) -> Dict:
     """Scenario runner: uncontended sync lock grants on an idle sysplex."""
+    options = spec.options.replace(terminals_per_system=0)
+    with loaded_sysplex(spec.config, options) as point:
+        return _grant_latency(point.plex, spec)
+
+
+def _grant_latency(plex, spec: RunSpec) -> Dict:
     n_samples = spec.params["n_samples"]
-    plex, gen = build_loaded_sysplex(
-        spec.config, options=spec.options.replace(terminals_per_system=0))
     mgr = plex.instances["SYS00"].lockmgr
     tally = Tally("grant")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..runner import build_loaded_sysplex
+from ..runner import loaded_sysplex
 from ..runspec import RunSpec
 from ..subsystems.tcpip import (
     DnsRoundRobin,
@@ -58,12 +58,16 @@ def web_specs(n_systems: int = 4, rate: float = 700.0,
 
 def run_case_spec(spec: RunSpec) -> dict:
     """Scenario runner: one placement scheme under a backend loss."""
+    options = spec.options.replace(terminals_per_system=0)
+    with loaded_sysplex(spec.config, options) as point:
+        return _placement_case(point.plex, spec)
+
+
+def _placement_case(plex, spec: RunSpec) -> dict:
     scheme = spec.params["scheme"]
     kill_index = spec.params["kill_index"]
     rate = spec.params["rate"]
     duration, warmup = spec.duration, spec.warmup
-    plex, gen = build_loaded_sysplex(
-        spec.config, options=spec.options.replace(terminals_per_system=0))
     web_cfg = WebConfig()
     stacks = [
         TcpStack(plex.sim, inst.node, plex.farm, web_cfg,

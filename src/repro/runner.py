@@ -14,12 +14,34 @@ The options bundle also carries the execution profile:
 scheduler with CF-command event collapsing — fast and statistically
 neutral; ``profile="verify"`` runs the golden heapq/no-collapse path,
 byte-identical to historical results.  See :mod:`repro.options`.
+
+Point lifecycle
+---------------
+Every simulation point a runner drives has one lifecycle, owned by
+:func:`loaded_sysplex`::
+
+    build -> warmup -> measure -> collect -> close -> one gc.collect()
+
+The cycle collector is paused from before the build until the point is
+closed.  The event loop allocates millions of short-lived objects and a
+finished sysplex is one large cyclic graph (processes, generator frames,
+events, components that point at each other), so a collector left on
+walks a heap it can free almost nothing of, mid-build and mid-run.
+Instead :meth:`Sysplex.close` shuts every live process down at a defined
+point (their ``with``/``finally`` exits run there, not inside the
+collector) and drops the calendar; then one full collection frees the
+point and the caller's GC setting is restored.  No simulation state is
+touched, so results are unchanged.
+
+:func:`build_loaded_sysplex` on its own (tests, notebooks, examples)
+builds the point and leaves its teardown to the caller.
 """
 
 from __future__ import annotations
 
 import gc
-from typing import TYPE_CHECKING, Optional, Tuple
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from .config import SysplexConfig
 from .metrics import RunResult
@@ -31,7 +53,8 @@ from .workloads.traces import DemandTrace
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runspec import RunSpec
 
-__all__ = ["run_oltp", "run_spec", "build_loaded_sysplex"]
+__all__ = ["run_oltp", "run_spec", "build_loaded_sysplex", "loaded_sysplex",
+           "LoadedSysplex"]
 
 
 def build_loaded_sysplex(config: SysplexConfig,
@@ -79,6 +102,54 @@ def build_loaded_sysplex(config: SysplexConfig,
     return plex, gen
 
 
+class LoadedSysplex:
+    """The point a :func:`loaded_sysplex` block drives: ``plex`` and its
+    workload generator ``gen``.  Both are cleared when the block exits."""
+
+    __slots__ = ("plex", "gen")
+
+    def __init__(self) -> None:
+        self.plex: Optional[Sysplex] = None
+        self.gen: Optional[OltpGenerator] = None
+
+
+@contextmanager
+def loaded_sysplex(config: SysplexConfig,
+                   options: Optional[RunOptions] = None,
+                   trace: Optional[DemandTrace] = None,
+                   ) -> Iterator[LoadedSysplex]:
+    """Build one point and own its lifecycle (see the module docstring)::
+
+        with loaded_sysplex(config, options) as point:
+            return measure(point.plex, point.gen)
+
+    GC is paused before the build.  On exit, normal or not, the sysplex
+    is closed, the references are dropped, exactly one ``gc.collect()``
+    runs and the caller's GC setting is restored.  The block should hand
+    ``point.plex``/``point.gen`` to a function rather than bind them to
+    its own names: a local that outlives the block keeps the point alive
+    past its collection.  Counters read through a kept reference stay
+    valid after the close.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    point = LoadedSysplex()
+    try:
+        # through the module global, so wrappers of the builder see it
+        point.plex, point.gen = build_loaded_sysplex(config, options=options,
+                                                     trace=trace)
+        yield point
+    finally:
+        try:
+            if point.plex is not None:
+                point.plex.close()
+        finally:
+            point.plex = point.gen = None
+            gc.collect()
+            if was_enabled:
+                gc.enable()
+
+
 def run_oltp(config: SysplexConfig,
              duration: float = 1.0,
              warmup: float = 0.3,
@@ -95,28 +166,22 @@ def run_oltp(config: SysplexConfig,
     :mod:`repro.trace_analysis`).
     """
     opts = options if options is not None else RunOptions()
-    plex, _gen = build_loaded_sysplex(config, options=opts, trace=trace)
-    # The event loop allocates millions of short-lived cyclic objects
-    # (process <-> generator frame <-> event); letting the cycle collector
-    # run mid-simulation costs ~10% of wall time and can never free much,
-    # since the calendar keeps everything reachable.  Suspend it for the
-    # run and let the backlog collect afterwards.  No simulation state is
-    # affected, so results are unchanged.
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        plex.sim.run(until=warmup)
-        plex.reset_measurement()
-        plex.sim.run(until=warmup + duration)
-    finally:
-        if was_enabled:
-            gc.enable()
     if label is None:
         sharing = "DS" if config.data_sharing and config.n_cfs else "noDS"
         label = (
             f"{config.n_systems}x{config.cpu.n_cpus}cpu {sharing} {opts.mode}"
         )
+    with loaded_sysplex(config, opts, trace) as point:
+        return _measure(point.plex, warmup, duration, label)
+
+
+def _measure(plex: Sysplex, warmup: float, duration: float,
+             label: str) -> RunResult:
+    # a separate frame, so no local of run_oltp holds the point past
+    # the lifecycle's collection
+    plex.sim.run(until=warmup)
+    plex.reset_measurement()
+    plex.sim.run(until=warmup + duration)
     return plex.collect(label)
 
 

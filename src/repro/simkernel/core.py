@@ -215,8 +215,11 @@ class Process(Event):
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         #: the bound resume callback, allocated once instead of on every
-        #: suspension (callbacks.append(self._resume) re-binds each time)
+        #: suspension (callbacks.append(self._resume) re-binds each time);
+        #: reset to None when the generator ends, so a finished process
+        #: is not its own referent and refcounting alone frees it
         self._cb = self._resume
+        sim._live[self] = None
         if sim._process_watchers:
             for fn in sim._process_watchers:
                 fn(self, "start")
@@ -273,6 +276,8 @@ class Process(Event):
             except StopIteration as exc:
                 sim._active_process = None
                 self._target = None
+                self._cb = None
+                del sim._live[self]
                 if self._state == _PENDING:
                     if sim._elide_done and not self.callbacks:
                         # collapse mode, nobody waiting: the terminal event
@@ -291,6 +296,8 @@ class Process(Event):
             except BaseException as exc:
                 sim._active_process = None
                 self._target = None
+                self._cb = None
+                del sim._live[self]
                 if self._state == _PENDING:
                     self.fail(exc, priority=URGENT)
                     if sim._process_watchers:
@@ -318,6 +325,8 @@ class Process(Event):
             )
             sim._active_process = None
             self._target = None
+            self._cb = None
+            del sim._live[self]
             try:
                 gen.throw(err)
             except StopIteration:
@@ -418,6 +427,11 @@ class Scheduler:
     def __len__(self) -> int:
         raise NotImplementedError
 
+    def clear(self) -> None:
+        """Drop every item (backends override with something cheaper)."""
+        while self.pop_until(float("inf")) is not None:
+            pass
+
 
 class HeapScheduler(Scheduler):
     """The classic binary-heap calendar — the golden backend.
@@ -446,6 +460,9 @@ class HeapScheduler(Scheduler):
 
     def __len__(self) -> int:
         return len(self.heap)
+
+    def clear(self) -> None:
+        self.heap.clear()  # in place: Simulator._queue aliases this list
 
 
 class CalendarScheduler(Scheduler):
@@ -610,6 +627,13 @@ class CalendarScheduler(Scheduler):
             n += len(bucket)
         return n
 
+    def clear(self) -> None:
+        self._buckets = {}
+        self._ticks = []
+        self._active = []
+        self._atick = -1
+        self._idx = 0
+
 
 #: Names accepted by ``Simulator(scheduler=...)`` and, downstream, by
 #: ``RunOptions.scheduler``.
@@ -657,6 +681,10 @@ class Simulator:
         #: observers of the process lifecycle (see add_process_watcher);
         #: empty by default so the hot resume path pays one falsy check
         self._process_watchers: list = []
+        #: processes whose generator has not finished, in creation order
+        #: (a dict used as an ordered set); close() shuts them down
+        self._live: dict = {}
+        self._closed = False
         #: calendar events processed so far (the model layer's cost metric:
         #: fewer events for the same simulated outcome = a faster run)
         self.events_processed: int = 0
@@ -769,6 +797,8 @@ class Simulator:
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the calendar empties, ``until`` seconds pass, or an
         ``until`` event fires (its value is returned)."""
+        if self._closed:
+            raise SimulationError("simulator is closed")
         stop_value: list = []
         if isinstance(until, Event):
             if until._state == _PROCESSED:
@@ -873,3 +903,36 @@ class Simulator:
         if isinstance(until, Event):
             raise SimulationError("simulation ended before 'until' event fired")
         return None
+
+    def close(self) -> None:
+        """End the simulation and release what it holds.
+
+        Every live process has its generator closed, in creation order,
+        so its ``with``/``finally`` exits (a request handed back, a span
+        ended) run here rather than whenever the garbage collector gets
+        to the frame.  Processes started by those exits are closed in
+        turn.  Then the calendar and the process watchers are dropped.
+        Afterwards :meth:`run` raises :class:`SimulationError`; the
+        clock, ``events_processed`` and any model state stay readable.
+        Idempotent.  Must not be called from inside a process.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        live = self._live
+        first_error: Optional[BaseException] = None
+        while live:
+            procs = list(live)
+            live.clear()
+            for proc in procs:
+                proc._target = None
+                proc._cb = None
+                try:
+                    proc._generator.close()
+                except Exception as exc:  # finish the teardown first
+                    if first_error is None:
+                        first_error = exc
+        self.scheduler.clear()
+        self._process_watchers = []
+        if first_error is not None:
+            raise first_error

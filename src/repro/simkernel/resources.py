@@ -195,6 +195,8 @@ class Resource:
         self._busy_area += (len(users) + self._held) * (now - self._last_change)
         self._last_change = now
         users.discard(request)
+        if request._state == _PROCESSED:
+            request._value = None  # see _cancel
         if self._waiters and len(users) + self._held < self.capacity:
             self._dispatch()
 
@@ -221,6 +223,11 @@ class Resource:
             self._busy_area += (len(users) + self._held) * (now - self._last_change)
             self._last_change = now
             users.discard(req)
+            if req._state == _PROCESSED:
+                # a grant's value is the request itself; once every
+                # waiter has read it, drop the self-reference so a
+                # released request is freed by refcounting alone
+                req._value = None
             if self._waiters and len(users) + self._held < self.capacity:
                 self._dispatch()
         elif req._key:

@@ -633,6 +633,12 @@ class Sysplex:
             ),
         )
 
+    def close(self) -> None:
+        """End this sysplex's simulation (see :meth:`Simulator.close`):
+        every live process is shut down and the calendar dropped.
+        Metrics and component counters stay readable.  Idempotent."""
+        self.sim.close()
+
 
 class _LocalXes:
     """Null CF connection for the non-data-sharing single-system case.
