@@ -74,7 +74,7 @@ from .trace_analysis import (
     format_attribution,
 )
 
-__version__ = "2.3.0"
+__version__ = "3.0.0"
 
 
 def run(spec_or_config: Union[RunSpec, SysplexConfig],

@@ -46,22 +46,6 @@ __all__ = ["CfPort", "CfRequestTimeout", "mirror_sync", "mirror_async"]
 #: identical results; production code leaves it on.
 FAST_PATH = True
 
-#: Opt-in event-collapsed variant of the fast path.  When the whole stack
-#: is idle it merges the issue+latency+transfer head and the
-#: signal+latency tail into single absolute-time events (8 -> 5 calendar
-#: events per sync command).  Event *times* and resource state are
-#: bit-identical to the general path, but merged events are *created*
-#: earlier, so at saturation — where the workload's constant costs
-#: phase-lock many commands onto the exact same float instants — two
-#: commands arriving at the CF in the same instant can pop in a different
-#: order than the general path when one of them went general (async, or
-#: subchannel-contended fallback).  That reordering is statistically
-#: neutral but not byte-identical, so the collapse is off by default;
-#: flip it for maximum event throughput when exact replay of a general-
-#: path run is not required.
-COLLAPSE = False
-
-
 class CfRequestTimeout(Exception):
     """A CF request exhausted its timeout/retry budget without completing."""
 
@@ -72,7 +56,7 @@ class CfPort:
     def __init__(self, node: SystemNode, cf: CouplingFacility,
                  links: LinkSet, config: CfConfig, trace=None,
                  retry_rng: Optional[np.random.Generator] = None,
-                 collapse: Optional[bool] = None):
+                 collapse: bool = False):
         self.node = node
         self.cf = cf
         self.links = links
@@ -107,13 +91,15 @@ class CfPort:
         #: end of the command (attach tracers at construction time)
         self._fast = (FAST_PATH and config.request_timeout is None
                       and trace is None and cf.trace is None)
-        # per-port collapse policy: an explicit True/False (threaded down
-        # from RunOptions via Sysplex/XesServices) wins; None falls back
-        # to the module default so direct CfPort construction — and the
-        # tests that monkeypatch COLLAPSE — keep their old meaning.  The
-        # collapse can only ever engage where the fast path may.
-        self._collapse = (COLLAPSE if collapse is None else collapse) \
-            and self._fast
+        # Event-collapsed variant of the fast path, on under the sweep
+        # profile.  Event *times* and resource state match the general
+        # path bit for bit, but merged events are *created* earlier, so at
+        # saturation two commands reaching the CF at the same float
+        # instant can pop in another order when one of them went general
+        # (async, or a contended subchannel).  Statistically neutral, not
+        # byte-identical, so the verify profile leaves it off.  It can
+        # only engage where the fast path may.
+        self._collapse = collapse and self._fast
 
     # -- internals ----------------------------------------------------------
     def _service(self, fn: Callable[[], Any], data: bool, signal_wait: bool,
@@ -298,9 +284,9 @@ class CfPort:
                 # ``timeout_at``; same expression shapes for every sum).
                 # A busy stage falls back to the general queueing from
                 # the exact same instant.  Net: 3 calendar events instead
-                # of 8 and no per-stage allocation — see ``COLLAPSE`` for
-                # the intra-instant ordering caveat that keeps this
-                # variant opt-in.
+                # of 8 and no per-stage allocation — see ``_collapse`` in
+                # ``__init__`` for the intra-instant ordering caveat that
+                # keeps this variant out of the verify profile.
                 sim = self.sim
                 cpu = self.node.cpu
                 engines = cpu.engines

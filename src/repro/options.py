@@ -14,20 +14,21 @@ the public API one typed, hashable, JSON-serializable object that
 Execution profiles
 ------------------
 
-``profile`` selects how much the kernel is allowed to optimize a run:
+``profile`` is the one execution knob.  It selects how much the kernel
+may merge events in a run:
 
-* ``"sweep"`` (the default) — the fast configuration: the calendar-queue
-  scheduler plus the event-collapsed CF command path.  Statistically
+* ``"sweep"`` (the default) — event-collapsed: an idle CPU engine,
+  DASD path, subchannel or CF processor is claimed without a grant
+  event, a CF command's round trip is merged into fewer events, and a
+  process nobody waits on ends without a terminal event.  Statistically
   indistinguishable from the golden path (and still perfectly
   deterministic per spec hash), but *not* byte-identical to it at
   saturation.  Experiments, fuzzing and chaos runs use this.
-* ``"verify"`` — the golden configuration: heapq scheduler, no event
-  collapsing.  Byte-identical to the historical results; use it to
-  (re)generate golden fixtures or to double-check a sweep result.
+* ``"verify"`` — the golden configuration, no event collapsing.
+  Byte-identical to the historical results; use it to (re)generate
+  golden fixtures or to double-check a sweep result.
 
-``scheduler`` and ``collapse`` override the profile's choice per knob
-(``None`` means "whatever the profile says"); see
-:meth:`RunOptions.resolved_scheduler` / :meth:`RunOptions.resolved_collapse`.
+Both profiles run on the kernel's one event calendar (heapq).
 """
 
 from __future__ import annotations
@@ -42,13 +43,11 @@ __all__ = ["RunOptions", "OPTION_FIELDS", "PROFILES"]
 #: arrival stream at a fixed rate regardless of completions.
 _MODES = ("closed", "open")
 
-#: Execution profiles and the (scheduler, collapse) defaults they imply.
+#: Execution profiles and whether each collapses events.
 PROFILES = {
-    "sweep": ("calendar", True),
-    "verify": ("heap", False),
+    "sweep": True,
+    "verify": False,
 }
-
-_SCHEDULERS = (None, "heap", "calendar")
 
 
 @dataclass(frozen=True)
@@ -79,15 +78,6 @@ class RunOptions:
     #: (golden, byte-identical to historical results).  See the module
     #: docstring.
     profile: str = "sweep"
-    #: Kernel calendar backend override: ``"heap"``, ``"calendar"``, or
-    #: ``None`` to take the profile's choice.  Both backends produce
-    #: bit-identical results; this knob exists for benchmarking and for
-    #: the fuzzer's cross-backend determinism oracle.
-    scheduler: Optional[str] = None
-    #: CF-command event-collapse override: ``True``/``False``, or
-    #: ``None`` to take the profile's choice.  Collapsed runs are
-    #: statistically neutral but not byte-identical to golden ones.
-    collapse: Optional[bool] = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -99,24 +89,6 @@ class RunOptions:
                 f"unknown profile {self.profile!r} "
                 f"(expected one of {tuple(PROFILES)})"
             )
-        if self.scheduler not in _SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r} "
-                f"(expected one of {_SCHEDULERS})"
-            )
-
-    # -- profile resolution ------------------------------------------------
-    def resolved_scheduler(self) -> str:
-        """The kernel scheduler this run should use."""
-        if self.scheduler is not None:
-            return self.scheduler
-        return PROFILES[self.profile][0]
-
-    def resolved_collapse(self) -> bool:
-        """Whether the CF command path may collapse events."""
-        if self.collapse is not None:
-            return self.collapse
-        return PROFILES[self.profile][1]
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
@@ -128,12 +100,24 @@ class RunOptions:
             "terminals_per_system": self.terminals_per_system,
             "offered_tps_per_system": self.offered_tps_per_system,
             "profile": self.profile,
-            "scheduler": self.scheduler,
-            "collapse": self.collapse,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunOptions":
+        data = dict(data)
+        # Spec files written before 3.0 carry two retired keys.  Every
+        # ``scheduler`` gave byte-identical runs, so any value is
+        # dropped; a null ``collapse`` meant "the profile's choice", which
+        # is now the only choice.  A set ``collapse`` asked for a run the
+        # profile alone now names.
+        data.pop("scheduler", None)
+        collapse = data.pop("collapse", None)
+        if collapse is not None:
+            profile = "sweep" if collapse else "verify"
+            raise ValueError(
+                f"'collapse' is no longer an option; use "
+                f"profile={profile!r} instead"
+            )
         return cls(**data)
 
     def replace(self, **changes) -> "RunOptions":

@@ -9,11 +9,11 @@ These are the functions behind the :func:`repro.run` facade; each returns
 (The pre-1.1 loose keyword style — ``run_oltp(cfg, tracing=True)`` —
 was deprecated in 1.1 and removed in 2.0.)
 
-The options bundle also carries the execution profile:
-``RunOptions(profile="sweep")`` (the default) runs on the calendar-queue
-scheduler with CF-command event collapsing — fast and statistically
-neutral; ``profile="verify"`` runs the golden heapq/no-collapse path,
-byte-identical to historical results.  See :mod:`repro.options`.
+The options bundle also carries the one execution knob, the profile:
+``RunOptions(profile="sweep")`` (the default) collapses events — fast
+and statistically neutral; ``profile="verify"`` runs the golden
+no-collapse path, byte-identical to historical results.  Both run on the
+kernel's one event calendar.  See :mod:`repro.options`.
 
 Point lifecycle
 ---------------
@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from .config import SysplexConfig
 from .metrics import RunResult
-from .options import RunOptions
+from .options import PROFILES, RunOptions
 from .sysplex import Sysplex
 from .workloads.oltp import OltpGenerator
 from .workloads.traces import DemandTrace
@@ -69,14 +69,13 @@ def build_loaded_sysplex(config: SysplexConfig,
     With ``options.tracing`` the transaction-level span tracer is
     attached (see :mod:`repro.trace`), making per-category overhead
     attribution available from ``collect()``.  The options' execution
-    profile picks the kernel scheduler and the CF-command collapse mode
-    (``"sweep"`` = calendar + collapse, ``"verify"`` = golden heapq).
+    profile picks the collapse mode (``"sweep"`` collapses events,
+    ``"verify"`` is the golden path).
     """
     opts = options if options is not None else RunOptions()
     plex = Sysplex(config, monitoring=opts.monitoring,
                    router_policy=opts.router_policy, tracing=opts.tracing,
-                   scheduler=opts.resolved_scheduler(),
-                   collapse=opts.resolved_collapse())
+                   collapse=PROFILES[opts.profile])
     gen = OltpGenerator(
         plex.sim,
         config.oltp,

@@ -57,9 +57,10 @@ __all__ = [
 #: class, and the chaos runner's payload carries pathology observables
 #: plus invariant branch coverage (see ``repro.adversaries`` /
 #: ``repro.fuzz``).  v4: :class:`~repro.options.RunOptions` gained the
-#: execution profile (``profile``/``scheduler``/``collapse``), and
-#: ``profile="sweep"`` — the default — runs event-collapsed, so v3
-#: results are not comparable byte-for-byte.
+#: execution profile, and ``profile="sweep"`` — the default — runs
+#: event-collapsed, so v3 results are not comparable byte-for-byte.
+#: (v4 files may still carry the ``scheduler``/``collapse`` keys retired
+#: in 3.0; :meth:`RunOptions.from_dict` drops them.)
 SCHEMA_VERSION = 4
 
 #: Short names for the built-in runners.

@@ -5,8 +5,8 @@ lock-manager single-frame grant, the buffer-manager ``try_get_local``)
 are pure machinery: they must change *nothing* observable about a run —
 not the event timing, not the RNG draw order, not a single statistic.
 The *collapsed* execution (``profile="sweep"``: event merging + scalar
-resource holds + the calendar-queue scheduler) trades byte identity for
-speed and must stay statistically neutral.  These tests pin both
+resource holds) trades byte identity for speed and must stay
+statistically neutral.  These tests pin both
 contracts — including the full 22-point golden grid against the
 pre-refactor payload hashes — gate the events-per-transaction cost
 metric, and check the robustness/chaos configurations stay off the fast
@@ -153,7 +153,7 @@ _SUBSET = ("base-1cpu", "tcmp-4", "tcmp-10", "plex-1", "plex-4", "plex-8",
 
 
 def test_verify_profile_reproduces_golden_grid():
-    """The heapq/verify backend is byte-identical to pre-refactor main."""
+    """The verify profile is byte-identical to pre-refactor main."""
     fixture = json.loads(GOLDEN_GRID.read_text())
     golden = {p["label"]: p for p in fixture["points"]}
     labels = (list(golden) if os.environ.get("REPRO_FULL_GRID")
@@ -181,7 +181,7 @@ def test_verify_profile_reproduces_golden_duplex():
 
 
 def test_sweep_default_statistically_neutral_vs_golden():
-    """COLLAPSE-by-default: sweep payloads stay within statistical
+    """Collapse-by-default: sweep payloads stay within statistical
     tolerance of the golden fixtures.  The deltas are exact per-seed
     numbers (both paths are deterministic), not machine noise; the worst
     observed throughput delta across the 22-point grid is 6.7%."""
@@ -197,14 +197,6 @@ def test_sweep_default_statistically_neutral_vs_golden():
             g["completed"], rel=0.10), label
         assert data["response_mean"] == pytest.approx(
             g["response_mean"], rel=0.25), label
-
-
-def test_scheduler_backends_byte_identical():
-    """heap vs calendar under identical options: identical payload bytes."""
-    spec = _grid_specs()["tcmp-4"]
-    sha_h, _ = _payload_sha(spec.replace(scheduler="heap"))
-    sha_c, _ = _payload_sha(spec.replace(scheduler="calendar"))
-    assert sha_h == sha_c
 
 
 # ------------------------------------------------------ robustness gating ----

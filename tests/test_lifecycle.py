@@ -100,9 +100,8 @@ def test_released_request_is_freed_by_refcount(gc_off, monkeypatch):
 # -- Simulator.close() ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_close_is_idempotent_and_empties_the_calendar(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_close_is_idempotent_and_empties_the_calendar():
+    sim = Simulator()
 
     def ticker():
         while True:
@@ -111,12 +110,11 @@ def test_close_is_idempotent_and_empties_the_calendar(scheduler):
     for _ in range(3):
         sim.process(ticker())
     sim.run(until=2.5)
-    assert len(sim.scheduler) > 0
+    assert not math.isinf(sim.peek())
     sim.close()
-    assert len(sim.scheduler) == 0
     assert math.isinf(sim.peek())
     sim.close()  # idempotent
-    assert len(sim.scheduler) == 0
+    assert math.isinf(sim.peek())
     assert sim.now == 2.5  # the clock stays readable
     with pytest.raises(SimulationError):
         sim.run(until=5.0)
@@ -196,7 +194,7 @@ def test_close_finishes_teardown_before_raising():
     with pytest.raises(ValueError, match="exit failed"):
         sim.close()
     assert closed == ["tidy"]
-    assert len(sim.scheduler) == 0
+    assert math.isinf(sim.peek())
 
 
 def test_sysplex_counters_stay_readable_after_close():
@@ -260,7 +258,7 @@ def test_loaded_sysplex_closes_the_point(sim_refs):
         sim.run(until=0.05)
     with pytest.raises(SimulationError):
         sim.run(until=0.1)
-    assert len(sim.scheduler) == 0
+    assert math.isinf(sim.peek())
 
 
 def test_experiment_runners_build_through_the_lifecycle():

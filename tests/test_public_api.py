@@ -1,5 +1,8 @@
 """Tests for the public API surface: repro.run and RunOptions."""
 
+import warnings
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -132,3 +135,15 @@ def test_loose_kwargs_removed():
                              terminals_per_system=2)
     with pytest.raises(TypeError):
         run_oltp(small_cfg(), durations=0.2)
+
+
+# ----------------------------------------------------------------- version ----
+def test_package_version_has_one_source():
+    """pyproject.toml declares no version of its own: setuptools reads
+    ``repro.__version__``, so the two can never disagree."""
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools flags its beta tables
+        conf = pyprojecttoml.read_configuration(path)
+    assert conf["project"]["version"] == repro.__version__

@@ -45,6 +45,24 @@ def test_runspec_dict_is_json_serializable():
     json.loads(canonical_json(spec.to_dict()))
 
 
+def test_v4_spec_file_with_retired_keys_loads_unchanged():
+    spec = small_spec(label="legacy")
+    doc = {"schema": 4, "spec": spec.to_dict()}
+    doc["spec"]["options"].update(scheduler="calendar", collapse=None)
+    legacy = RunSpec.from_json(json.dumps(doc))
+    assert legacy == spec
+    assert legacy.content_hash() == spec.content_hash()
+
+
+@pytest.mark.parametrize("collapse, profile",
+                         [(True, "sweep"), (False, "verify")])
+def test_set_collapse_key_is_refused_naming_the_profile(collapse, profile):
+    doc = {"schema": 4, "spec": small_spec().to_dict()}
+    doc["spec"]["options"]["collapse"] = collapse
+    with pytest.raises(ValueError, match=f"profile={profile!r}"):
+        RunSpec.from_json(json.dumps(doc))
+
+
 def test_runresult_round_trips_through_dict():
     result = run_oltp(small_cfg(), duration=0.2, warmup=0.1)
     again = RunResult.from_dict(result.to_dict())
