@@ -14,9 +14,11 @@ factors into events/txn (how much machinery one transaction costs) times
 seconds/event (kernel speed); the first factor is deterministic for a
 fixed seed, so it gates tightly even on noisy CI runners where raw wall
 time cannot.  Each point also reports ``build_s``, the seconds spent in
-:func:`repro.runner.build_loaded_sysplex` (wiring the sysplex and
-prewarming its buffer pools) — report-only: the events/txn gate cannot
-see build time, and the wall gate sees it only mixed into the total.
+:func:`repro.runner.build_loaded_sysplex` (wiring the sysplex, building
+the workload's page sampler and prewarming the buffer pools, which
+``Sysplex.prewarm`` registers with the CF in one bulk pass per cache
+structure) — report-only: the events/txn gate cannot see build time,
+and the wall gate sees it only mixed into the total.
 
 Run:
 

@@ -60,6 +60,14 @@ class LocalVector:
         self._grow(index)
         self._bits[index] = True
 
+    def set_valid_many(self, indices) -> None:
+        """:meth:`set_valid` for every index in ``indices``."""
+        if indices:
+            self._grow(max(indices))
+            bits = self._bits
+            for index in indices:
+                bits[index] = True
+
     def invalidate(self, index: int) -> None:
         self._grow(index)
         if self._bits[index]:
@@ -72,13 +80,16 @@ class _DirEntry:
 
     __slots__ = ("registrants", "version", "has_data", "changed", "seen")
 
-    def __init__(self):
-        self.registrants: Dict[int, int] = {}  # conn_id -> vector index
+    def __init__(self, registrants: Optional[Dict[int, int]] = None,
+                 seen: Optional[Dict[int, int]] = None):
+        # conn_id -> vector index
+        self.registrants: Dict[int, int] = (
+            {} if registrants is None else registrants)
         self.version = 0
         self.has_data = False
         self.changed = False
         # last version each conn_id actually read (for invariant checking)
-        self.seen: Dict[int, int] = {}
+        self.seen: Dict[int, int] = {} if seen is None else seen
 
 
 class CacheStructure(Structure):
@@ -207,28 +218,83 @@ class CacheStructure(Structure):
         self.xi_signals += n
         return n
 
-    def prewarm_many(self, conn: Connector, pairs) -> None:
+    def prewarm_many(self, registrations) -> None:
         """Bulk :meth:`register_and_read` for benchmark prewarm.
 
-        ``pairs`` is an iterable of ``(name, bit_index)``.  Produces the
-        exact final state and statistics of calling
-        :meth:`register_and_read` once per pair (the returned hit/miss
-        tuples are what prewarm discards anyway), with the per-call
-        overhead — attribute chains, vector growth checks, counter
-        stores — hoisted out of the loop.  Runs pre-simulation, so it
-        must stay a plain state transform: no events, no clock reads.
+        ``registrations`` is a sequence of ``(conn, names, bits)``, one
+        per connector in registration order, pairing ``names[i]`` with
+        vector index ``bits[i]``.  Produces the exact final state and
+        statistics — directory (entries, LRU order, registrant and seen
+        insertion order), changed set, vector bits, ``reads`` and
+        ``read_hits`` — of calling :meth:`register_and_read` once per
+        name, connector by connector (the returned hit/miss tuples are
+        what prewarm discards anyway).  Runs pre-simulation, so it must
+        stay a plain state transform: no events, no clock reads.
+
+        When every connector registers the same names at the same bits
+        and the directory has room for every name, the directory is
+        walked once for all connectors: a new entry gets its
+        ``registrants``/``seen`` dicts built in one call each, in
+        connector order (the order XI fan-out follows).  Otherwise —
+        different lists, or a directory so full that
+        :meth:`_reclaim_directory` could fire mid-pass — connectors are
+        registered one after another, exactly as the sequential calls
+        would.
         """
         self._check()
+        if not registrations:
+            return
+        _, names, bits = registrations[0]
+        d = self._dir
+        if (all(n == names and b == bits for _, n, b in registrations[1:])
+                and len(d) + len(names) <= self.directory_entries):
+            self._register_all(
+                [conn.conn_id for conn, _, _ in registrations], names, bits)
+        else:
+            for conn, names, bits in registrations:
+                self._register_one(conn.conn_id, names, bits)
+
+    def _register_all(self, cids: List[int], names, bits) -> None:
+        """Every connector in ``cids`` registers ``names`` at ``bits``:
+        one directory pass (see :meth:`prewarm_many` for the contract)."""
+        d = self._dir
+        move_to_end = d.move_to_end
+        changed_move = self._changed.move_to_end
+        fromkeys = dict.fromkeys
+        # connector order, each conn_id once; a list, not a dict: fromkeys
+        # presizes from a dict source, which doubles small entries' dicts
+        keys = list(fromkeys(cids))
+        new_seen = fromkeys(keys, 0).copy
+        hits = 0
+        for name, bit in zip(names, bits):
+            entry = d.get(name)
+            if entry is None:
+                d[name] = _DirEntry(fromkeys(keys, bit), new_seen())
+                continue
+            entry.registrants.update(fromkeys(keys, bit))
+            entry.seen.update(fromkeys(keys, entry.version))
+            move_to_end(name)
+            if entry.changed:
+                changed_move(name)
+            if entry.has_data:
+                hits += 1
+        for cid in keys:
+            self.vectors[cid].set_valid_many(bits)
+        self.reads += len(cids) * len(names)
+        self.read_hits += len(cids) * hits
+
+    def _register_one(self, cid: int, names, bits) -> None:
+        """One connector registers ``names`` at ``bits``, name by name."""
         d = self._dir
         move_to_end = d.move_to_end
         changed_move = self._changed.move_to_end
         directory_entries = self.directory_entries
-        cid = conn.conn_id
         vector = self.vectors[cid]
-        bits = vector._bits
-        reads = 0
+        # bits are set in step with the directory: a reclaim without a
+        # facility invalidates a victim's bit immediately
+        set_valid = vector.set_valid
         hits = 0
-        for name, bit in pairs:
+        for name, bit in zip(names, bits):
             entry = d.get(name)
             if entry is None:
                 if len(d) >= directory_entries:
@@ -236,16 +302,13 @@ class CacheStructure(Structure):
                 entry = d[name] = _DirEntry()
             entry.registrants[cid] = bit
             entry.seen[cid] = entry.version
-            if bit >= len(bits):  # LocalVector.set_valid, inlined
-                bits.extend([False] * (bit + 1 - len(bits)))
-            bits[bit] = True
+            set_valid(bit)
             move_to_end(name)
             if entry.changed:
                 changed_move(name)
             if entry.has_data:
                 hits += 1
-            reads += 1
-        self.reads += reads
+        self.reads += len(names)
         self.read_hits += hits
 
     def unregister(self, conn: Connector, name: object) -> None:

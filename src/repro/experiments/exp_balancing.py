@@ -52,13 +52,11 @@ def _prewarm_partitioned(cluster, gen, config):
 
 def _prewarm_sysplex(plex, gen, config):
     per_seg = config.db.buffer_pages // len(gen._segments)
-    hot = [
+    plex.prewarm(
         offset + p
         for offset, seg in gen._segments
         for p in seg.hottest(per_seg)
-    ]
-    for inst in plex.instances.values():
-        inst.buffers.prewarm(hot)
+    )
 
 
 def _measure(owner, gen, offered, duration, warmup, label):

@@ -95,9 +95,7 @@ def build_loaded_sysplex(config: SysplexConfig,
         gen.start_open_loop(opts.offered_tps_per_system)
     # steady-state setup: pools start warm with the hot working set, as
     # they would be after hours of production running
-    hot = gen.sampler.hottest(config.db.buffer_pages)
-    for inst in plex.instances.values():
-        inst.buffers.prewarm(hot)
+    plex.prewarm(gen.sampler.hottest(config.db.buffer_pages))
     return plex, gen
 
 

@@ -25,7 +25,8 @@ apples-to-apples.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generator, List, Optional
+from itertools import filterfalse, islice
+from typing import Generator, List, Optional, Tuple
 
 from ..cf.cache import CacheStructure
 from ..config import DatabaseConfig
@@ -38,17 +39,15 @@ __all__ = ["BufferManager", "CastoutEngine"]
 PAGE_BYTES = 4096
 
 
-class _Buffer:
-    __slots__ = ("page", "slot", "dirty")
-
-    def __init__(self, page: object, slot: int):
-        self.page = page
-        self.slot = slot
-        self.dirty = False
-
-
 class BufferManager:
-    """One database-manager instance's local buffer pool."""
+    """One database-manager instance's local buffer pool.
+
+    The pool maps page -> slot (the buffer's local-vector bit index) in
+    LRU order; the pages with uncommitted local updates sit in one dirty
+    set, always a subset of the pool's pages.  No per-buffer object
+    exists, so a prewarmed pool costs one dict entry per page to build
+    and nothing for the cycle collector to walk.
+    """
 
     def __init__(self, sim: Simulator, node, config: DatabaseConfig,
                  farm: DasdFarm, xes: Optional[XesConnection] = None,
@@ -59,7 +58,8 @@ class BufferManager:
         self.farm = farm
         self.xes = xes  # None => non-data-sharing
         self.trace = trace  # Tracer or None (zero-cost when disabled)
-        self._pool: "OrderedDict[object, _Buffer]" = OrderedDict()
+        self._pool: "OrderedDict[object, int]" = OrderedDict()
+        self._dirty: set = set()
         self._free_slots: List[int] = list(range(config.buffer_pages))
         # statistics
         self.local_hits = 0
@@ -87,8 +87,8 @@ class BufferManager:
         transaction inner loop skip building a generator for the common
         case entirely.
         """
-        buf = self._pool.get(page)
-        if buf is None:
+        slot = self._pool.get(page)
+        if slot is None:
             return None
         xes = self.xes
         if xes is None:
@@ -97,7 +97,7 @@ class BufferManager:
             return "local"
         if not xes.connector.active:
             return None  # let get_page raise SystemDown as before
-        if xes.structure.vector_of(xes.connector).test(buf.slot):
+        if xes.structure.vector_of(xes.connector).test(slot):
             self._pool.move_to_end(page)
             self.local_hits += 1
             return "local"
@@ -113,24 +113,24 @@ class BufferManager:
             from ..hardware.cpu import SystemDown
 
             raise SystemDown(self.node.name)
-        buf = self._pool.get(page)
-        if buf is not None:
+        slot = self._pool.get(page)
+        if slot is not None:
             self._pool.move_to_end(page)
             if not self.data_sharing:
                 self.local_hits += 1
                 return "local"
             # coherency check: local vector bit test, no CF access
             vector = self.cache.vector_of(self.xes.connector)
-            if vector.test(buf.slot):
+            if vector.test(slot):
                 self.local_hits += 1
                 return "local"
             # cross-invalidated since we last touched it
             self.coherency_misses += 1
-            source = yield from self._register_and_fill(page, buf.slot, None)
+            source = yield from self._register_and_fill(page, slot, None)
             return source
 
         # true miss: steal the LRU buffer
-        buf, old_name = self._allocate(page)
+        slot, old_name = self._allocate(page)
         if not self.data_sharing:
             tr = self.trace
             if tr is None:
@@ -139,38 +139,32 @@ class BufferManager:
                 yield from tr.traced("io", self.farm.read_page(page))
             self.dasd_reads += 1
             return "dasd"
-        source = yield from self._register_and_fill(page, buf.slot, old_name)
+        source = yield from self._register_and_fill(page, slot, old_name)
         return source
 
-    def _allocate(self, page: object):
-        """Find a slot for ``page``; returns (buffer, stolen_page_or_None)."""
-        old_name = None
+    def _allocate(self, page: object) -> Tuple[int, Optional[object]]:
+        """Find a slot for ``page``; returns (slot, stolen_page_or_None)."""
+        pool = self._pool
         if self._free_slots:
-            slot = self._free_slots.pop()
-        else:
-            victim_page, victim = self._pool.popitem(last=False)
-            if victim.dirty:
-                # with force-at-commit this cannot happen in data-sharing
-                # mode; in non-sharing mode the deferred writer owns dirty
-                # pages, so push it back and steal the next-oldest clean one
-                self._pool[victim_page] = victim
-                self._pool.move_to_end(victim_page, last=False)
-                clean_page = next(
-                    (p for p, b in self._pool.items() if not b.dirty), None
-                )
-                if clean_page is None:
-                    # everything dirty: temporarily extend the pool
-                    slot = self.config.buffer_pages + len(self._pool)
-                    buf = _Buffer(page, slot)
-                    self._pool[page] = buf
-                    return buf, None
-                victim = self._pool.pop(clean_page)
-                victim_page = clean_page
-            slot = victim.slot
-            old_name = victim_page if self.data_sharing else None
-        buf = _Buffer(page, slot)
-        self._pool[page] = buf
-        return buf, old_name
+            slot = pool[page] = self._free_slots.pop()
+            return slot, None
+        victim_page, slot = pool.popitem(last=False)
+        dirty = self._dirty
+        if victim_page in dirty:
+            # with force-at-commit this cannot happen in data-sharing
+            # mode; in non-sharing mode the deferred writer owns dirty
+            # pages, so push it back and steal the next-oldest clean one
+            pool[victim_page] = slot
+            pool.move_to_end(victim_page, last=False)
+            clean_page = next(filterfalse(dirty.__contains__, pool), None)
+            if clean_page is None:
+                # everything dirty: temporarily extend the pool
+                slot = pool[page] = self.config.buffer_pages + len(pool)
+                return slot, None
+            slot = pool.pop(clean_page)
+            victim_page = clean_page
+        pool[page] = slot
+        return slot, victim_page if self.data_sharing else None
 
     def _register_and_fill(self, page: object, slot: int,
                            buf_old_name: Optional[object]) -> Generator:
@@ -210,11 +204,19 @@ class BufferManager:
     # -- write path ------------------------------------------------------------
     def mark_dirty(self, page: object) -> None:
         """Record a local update (the caller holds an EXCL lock)."""
-        buf = self._pool.get(page)
-        if buf is None:
+        if page not in self._pool:
             raise KeyError(f"page {page!r} not in pool — read before write")
-        buf.dirty = True
+        self._dirty.add(page)
         self._pool.move_to_end(page)
+
+    def is_dirty(self, page: object) -> bool:
+        """Whether ``page`` holds a local update not yet externalized."""
+        return page in self._dirty
+
+    def written(self, page: object) -> None:
+        """A commit wrote ``page`` to the CF: the local copy is clean."""
+        self._dirty.discard(page)
+        self.pages_written += 1
 
     def commit_writes(self, pages) -> Generator:
         """Process step: externalize a transaction's changed pages.
@@ -224,75 +226,108 @@ class BufferManager:
         serialization on the shared data block" right after).  Non-sharing:
         nothing synchronous — the deferred writer will flush.
         """
+        if not self.data_sharing:
+            return
         for page in pages:
-            buf = self._pool.get(page)
-            if buf is None or not buf.dirty:
+            if page not in self._dirty:
                 continue
-            if self.data_sharing:
-                cache, conn = self.cache, self.xes.connector
-                yield from self.xes.sync(
-                    lambda p=page: cache.write_and_invalidate(conn, p),
-                    mirror=lambda s, c, p=page: s.write_and_invalidate(c, p),
-                    out_bytes=PAGE_BYTES,
-                    data=True,
-                    signal_wait=True,
-                )
-                self.pages_written += 1
-            buf.dirty = False if self.data_sharing else True
+            cache, conn = self.cache, self.xes.connector
+            yield from self.xes.sync(
+                lambda p=page: cache.write_and_invalidate(conn, p),
+                mirror=lambda s, c, p=page: s.write_and_invalidate(c, p),
+                out_bytes=PAGE_BYTES,
+                data=True,
+                signal_wait=True,
+            )
+            self.written(page)
 
     def dirty_pages(self) -> List[object]:
-        return [p for p, b in self._pool.items() if b.dirty]
+        """Dirty pages in LRU order."""
+        dirty = self._dirty
+        return [p for p in self._pool if p in dirty]
 
     def flush_deferred(self, limit: int = 64) -> Generator:
         """Process step: non-sharing deferred write of dirty pages."""
         flushed = 0
+        dirty = self._dirty
         for page in self.dirty_pages():
             if flushed >= limit:
                 break
-            buf = self._pool.get(page)
-            if buf is None or not buf.dirty:
+            if page not in dirty:
                 continue
-            buf.dirty = False
+            dirty.discard(page)
             yield from self.farm.write_page(page, priority=5)
             self.pages_written += 1
             flushed += 1
         return flushed
 
+    # -- prewarm / recovery ------------------------------------------------------
+    def fill(self, pages) -> Tuple[List[object], List[int]]:
+        """Seed the pool with ``pages`` at zero simulated cost, without
+        touching the CF; returns the ``(names, slots)`` it added.
+
+        New pages are taken in order, skipping duplicates and pages
+        already pooled, while free slots last; they get slots in
+        ``free.pop()`` order, exactly as that many misses would.  Built
+        with C-level iteration (dedup, filter, slice, zip) — no per-page
+        Python loop and no per-page object beyond the pool entry.
+        """
+        free = self._free_slots
+        if not free:
+            return [], []
+        pool = self._pool
+        fresh = dict.fromkeys(pages)
+        if pool:
+            fresh = filterfalse(pool.__contains__, fresh)
+        names = list(islice(fresh, len(free)))
+        cut = len(free) - len(names)
+        slots = free[cut:]
+        slots.reverse()
+        del free[cut:]
+        pool.update(zip(names, slots))
+        return names, slots
+
     def prewarm(self, pages) -> int:
-        """Seed the pool with ``pages`` at zero simulated cost.
+        """Seed the pool with ``pages`` (:meth:`fill`) and register them
+        with every instance of the CF cache structure.
 
         Benchmark setup only: stands in for the hours of production running
         that precede any steady-state measurement.  Registers interest in
-        the CF directory exactly as a costed read would.
+        the CF directory exactly as a costed read would.  For a whole
+        sysplex use :meth:`repro.sysplex.Sysplex.prewarm`, which registers
+        every system's pages in one bulk call per structure.
         """
-        pool = self._pool
-        free = self._free_slots
-        pairs = []
-        for page in pages:
-            if not free or page in pool:
-                continue
-            slot = free.pop()
-            pool[page] = _Buffer(page, slot)
-            pairs.append((page, slot))
-        if pairs and self.data_sharing:
-            # bulk registration: same final CF state and statistics as one
-            # register_and_read per page, minus the per-call overhead
-            # (applied to both instances of a duplexed structure)
+        names, slots = self.fill(pages)
+        if names and self.data_sharing:
             for structure, conn in self.xes.instances():
-                structure.prewarm_many(conn, pairs)
-        return len(pairs)
+                structure.prewarm_many([(conn, names, slots)])
+        return len(names)
+
+    def valid_slots(self, vector) -> List[Tuple[object, int]]:
+        """``(page, slot)`` of every pooled page whose bit is set in
+        ``vector`` (all of them when ``vector`` is None), in LRU order.
+
+        CF rebuild uses it to re-register only the buffers that were
+        valid when the old structure was lost.  Each check is a counted
+        :meth:`LocalVector.test`.
+        """
+        if vector is None:
+            return list(self._pool.items())
+        test = vector.test
+        return [(page, slot) for page, slot in self._pool.items()
+                if test(slot)]
 
     def contains(self, page: object) -> bool:
         return page in self._pool
 
     def is_valid(self, page: object) -> bool:
         """Local coherency state of a pooled page (diagnostic)."""
-        buf = self._pool.get(page)
-        if buf is None:
+        slot = self._pool.get(page)
+        if slot is None:
             return False
         if not self.data_sharing:
             return True
-        return self.cache.vector_of(self.xes.connector).test(buf.slot)
+        return self.cache.vector_of(self.xes.connector).test(slot)
 
 
 class CastoutEngine:

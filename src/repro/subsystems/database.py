@@ -164,15 +164,15 @@ class DatabaseManager:
                 sim.process(log._flush_loop(), name="log-flush")
             yield ev
             # buffers.commit_writes(writes): externalize changed pages
-            pool = buffers._pool
+            is_dirty = buffers.is_dirty
+            written = buffers.written
             xes = buffers.xes
             if xes is not None and getattr(xes, "pair", None) is not None:
                 # duplexed structure: the write must run the duplexed-write
                 # protocol (mirror to the secondary), so take the
                 # connection-level path instead of the flattened port call
                 for page in writes:
-                    buf = pool.get(page)
-                    if buf is None or not buf.dirty:
+                    if not is_dirty(page):
                         continue
                     yield from xes.sync(
                         lambda p=page: xes.structure.write_and_invalidate(
@@ -183,15 +183,13 @@ class DatabaseManager:
                         data=True,
                         signal_wait=True,
                     )
-                    buffers.pages_written += 1
-                    buf.dirty = False
+                    written(page)
             elif xes is not None:
                 cache = xes.structure
                 conn = xes.connector
                 sync = xes.port.sync
                 for page in writes:
-                    buf = pool.get(page)
-                    if buf is None or not buf.dirty:
+                    if not is_dirty(page):
                         continue
                     yield from sync(
                         lambda p=page: cache.write_and_invalidate(conn, p),
@@ -199,8 +197,7 @@ class DatabaseManager:
                         data=True,
                         signal_wait=True,
                     )
-                    buffers.pages_written += 1
-                    buf.dirty = False
+                    written(page)
             log.log_end(owner)
             yield from locks.unlock_all(owner)
             self.commits += 1

@@ -461,15 +461,11 @@ class Sysplex:
                     old.structure.vectors.get(old.connector.conn_id)
                     if old is not None else None
                 )
-                pool = [
-                    (page, buf)
-                    for page, buf in inst.buffers._pool.items()
-                    if old_vec is None or old_vec.test(buf.slot)
-                ]
+                pool = inst.buffers.valid_slots(old_vec)
 
                 def reregister():
-                    for page, buf in pool:
-                        cache.register_and_read(conn, page, buf.slot)
+                    for page, slot in pool:
+                        cache.register_and_read(conn, page, slot)
 
                 yield from xconn.sync(
                     reregister, service_factor=max(1.0, 0.1 * len(pool)))
@@ -625,6 +621,29 @@ class Sysplex:
                 self.sim.events_processed - getattr(self, "_events_start", 0)
             ),
         )
+
+    def prewarm(self, pages) -> None:
+        """Seed every system's buffer pool with ``pages`` at zero simulated
+        cost (benchmark setup: the pools start warm, as after hours of
+        production running).
+
+        Each pool is filled first (:meth:`BufferManager.fill`); then each
+        CF cache structure instance gets one bulk registration covering
+        all its connectors in instance order — a duplexed structure's
+        secondary its own.  The final CF state equals one
+        ``register_and_read`` per page and per connector.
+        """
+        pages = list(pages)
+        registrations: Dict[object, list] = {}
+        for inst in self.instances.values():
+            buffers = inst.buffers
+            names, slots = buffers.fill(pages)
+            if names and buffers.data_sharing:
+                for structure, conn in buffers.xes.instances():
+                    registrations.setdefault(structure, []).append(
+                        (conn, names, slots))
+        for structure, regs in registrations.items():
+            structure.prewarm_many(regs)
 
     def close(self) -> None:
         """End this sysplex's simulation (see :meth:`Simulator.close`):

@@ -163,6 +163,66 @@ def test_dirty_pages_listing_and_deferred_flush(miniplex):
     mp.run(work())
 
 
+def _local_pool(mp, buffer_pages):
+    """A non-sharing pool of ``buffer_pages`` buffers (deferred writer)."""
+    from repro.config import DatabaseConfig
+    from repro.subsystems import BufferManager
+
+    return BufferManager(mp.sim, mp.nodes[0],
+                         DatabaseConfig(buffer_pages=buffer_pages), mp.farm,
+                         xes=None)
+
+
+def _slot(bm, page):
+    """The buffer slot holding ``page`` (the pool maps page -> slot, or
+    page -> buffer record carrying ``.slot``)."""
+    held = bm._pool[page]
+    return getattr(held, "slot", held)
+
+
+def test_dirty_lru_victim_is_skipped_for_next_oldest_clean(miniplex):
+    mp = miniplex
+    bm = _local_pool(mp, 3)
+
+    def work():
+        for page in (1, 2, 3):
+            yield from bm.get_page(page)
+        bm.mark_dirty(1)
+        yield from bm.get_page(2)
+        yield from bm.get_page(3)  # LRU order now 1 (dirty), 2, 3
+        stolen = _slot(bm, 2)
+        yield from bm.get_page(4)
+        # the dirty victim went back to the LRU head; page 2, the
+        # next-oldest clean page, gave up its slot
+        assert list(bm._pool) == [1, 3, 4]
+        assert _slot(bm, 4) == stolen
+        assert bm.dirty_pages() == [1]
+
+    mp.run(work())
+
+
+def test_all_dirty_pool_extends_past_buffer_pages(miniplex):
+    mp = miniplex
+    bm = _local_pool(mp, 2)
+
+    def work():
+        yield from bm.get_page(1)
+        yield from bm.get_page(2)
+        bm.mark_dirty(1)
+        bm.mark_dirty(2)
+        yield from bm.get_page(3)
+        # nothing clean to steal: slot buffer_pages + len(pool)
+        assert list(bm._pool) == [1, 2, 3]
+        assert _slot(bm, 3) == 2 + 2
+        assert bm.dirty_pages() == [1, 2]
+        # the overflow page is clean: the next miss steals its slot
+        yield from bm.get_page(4)
+        assert list(bm._pool) == [1, 2, 4]
+        assert _slot(bm, 4) == 4
+
+    mp.run(work())
+
+
 def test_castout_engine_drains_changed_blocks(miniplex):
     mp = miniplex
     b0 = mp.buffermgrs[0]
