@@ -16,6 +16,12 @@ executes structure operations with the paper's cost semantics:
 The actual structure mutation runs at the CF at command-execution time,
 passed in as a plain closure.
 
+The link round trip has one body, :meth:`CfPort._round_trip`, used by
+both modes, by traced runs and by redrives.  The sweep profile adds one
+event-collapsed copy of the synchronous trip, inline in
+:meth:`CfPort.sync`, which lands on the same float instants with fewer
+calendar events.
+
 **Request-level robustness** (chaos runs): with
 ``CfConfig.request_timeout`` set, each link round trip runs under a
 timeout; a trip that times out or dies with an interface control check
@@ -23,8 +29,8 @@ timeout; a trip that times out or dies with an interface control check
 backoff over a surviving link, up to ``request_retries`` times.  The
 structure mutation is executed at most once across redrives (the
 response, not the command, is what was lost).  With the default
-``request_timeout=None`` the single-attempt fast path below runs
-unchanged — no extra events, no behavioural drift for non-chaos runs.
+``request_timeout=None`` each command makes a single ``_round_trip`` —
+no extra events, no behavioural drift for non-chaos runs.
 """
 
 from __future__ import annotations
@@ -41,10 +47,6 @@ from .facility import CfFailedError, CouplingFacility
 
 __all__ = ["CfPort", "CfRequestTimeout", "mirror_sync", "mirror_async"]
 
-#: Global kill switch for the flattened fast path (checked at port
-#: construction).  Tests flip it to prove fast and general paths produce
-#: identical results; production code leaves it on.
-FAST_PATH = True
 
 class CfRequestTimeout(Exception):
     """A CF request exhausted its timeout/retry budget without completing."""
@@ -77,48 +79,93 @@ class CfPort:
         # Per-port constants, resolved once at wiring time instead of per
         # command.  ``_issue_inflated`` memoizes the MP-inflation product
         # (a float pow per call otherwise); the rest are attribute-chain
-        # flattening.  Each is used by *both* paths with the exact
-        # expression shape of the original per-command computation, so the
-        # resulting floats are bit-identical.
+        # flattening.  Each is used by *both* round-trip bodies with the
+        # same expression shape, so the resulting floats are bit-identical.
         self._issue_inflated = config.sync_issue_cpu * node.cpu.config.inflation()
         self._latency = links.config.latency
         self._bandwidth = links.config.bandwidth
         self._cmd_service = config.cmd_service
         self._data_cmd_service = config.data_cmd_service
         self._signal_latency = config.signal_latency
-        #: the fast path engages only when there is nothing it could hide:
-        #: no request-level robustness (chaos) and no span tracer on either
-        #: end of the command (attach tracers at construction time)
-        self._fast = (FAST_PATH and config.request_timeout is None
-                      and trace is None and cf.trace is None)
-        # Event-collapsed variant of the fast path, on under the sweep
-        # profile.  Event *times* and resource state match the general
-        # path bit for bit, but merged events are *created* earlier, so at
-        # saturation two commands reaching the CF at the same float
-        # instant can pop in another order when one of them went general
-        # (async, or a contended subchannel).  Statistically neutral, not
-        # byte-identical, so the verify profile leaves it off.  It can
-        # only engage where the fast path may.
-        self._collapse = collapse and self._fast
+        # Event-collapsed sync, on under the sweep profile.  Event *times*
+        # and resource state match ``_round_trip`` bit for bit, but merged
+        # events are *created* earlier, so at saturation two commands
+        # reaching the CF at the same float instant can pop in another
+        # order when one of them went through ``_round_trip`` (async, or a
+        # contended subchannel).  Statistically neutral, not
+        # byte-identical, so the verify profile leaves it off.  It engages
+        # only when there is nothing it could hide: no request-level
+        # robustness (chaos) and no span tracer on either end of the
+        # command (attach tracers at construction time).
+        self._collapse = (collapse and config.request_timeout is None
+                          and trace is None and cf.trace is None)
 
-    # -- internals ----------------------------------------------------------
-    def _service(self, fn: Callable[[], Any], data: bool, signal_wait: bool,
-                 box: list, service_factor: float = 1.0) -> Generator:
-        svc = service_factor * self.config.cmd_service + (
-            self.config.data_cmd_service if data else 0.0
-        )
-        yield from self.cf.execute(svc)
-        if not box:
-            # redrives re-pay the CF service but execute the structure
-            # mutation exactly once (the first attempt may have executed
-            # at the CF with only the response lost)
-            box.append(fn())
-        if signal_wait:
-            # CF responds only after observing signal completion (§3.3.2)
-            yield self.sim.timeout(self.config.signal_latency)
+    # -- the round trip -------------------------------------------------------
+    def _round_trip(self, link, fn: Callable[[], Any], out_bytes: int,
+                    in_bytes: int, data: bool, signal_wait: bool, box: list,
+                    service_factor: float) -> Generator:
+        """Process step: one command's link round trip over ``link``.
 
-    def _trip_once(self, link, out_bytes: int, in_bytes: int,
-                   service: Generator) -> Generator:
+        Holds a subchannel for the whole trip: one-way latency + transfer,
+        CF processor service (queued when every CF engine is busy), the
+        structure mutation, the optional signal-completion wait, and the
+        return latency.  A link that fails while the command is in flight
+        raises :class:`InterfaceControlCheck` at the next resume point —
+        the command may or may not have executed at the CF, exactly the
+        ambiguity a real interface control check presents.
+        """
+        if not link.operational:
+            raise LinkDownError(link.name)
+        sim = self.sim
+        cf = self.cf
+        sreq = link.subchannels.request()
+        try:
+            yield sreq
+            if not link.operational:
+                raise InterfaceControlCheck(link.name)
+            yield sim.timeout(
+                self._latency + (out_bytes + in_bytes) / self._bandwidth
+            )
+            if not link.operational:
+                raise InterfaceControlCheck(link.name)
+            if cf.failed:
+                raise CfFailedError(cf.name)
+            tr = cf.trace
+            span = -1 if tr is None else tr.begin("cf.service")
+            preq = cf.processors.request()
+            try:
+                yield preq
+                if cf.failed:
+                    raise CfFailedError(cf.name)
+                yield sim.timeout(
+                    service_factor * self._cmd_service
+                    + (self._data_cmd_service if data else 0.0)
+                )
+                if cf.failed:
+                    raise CfFailedError(cf.name)
+                cf.commands_executed += 1
+            finally:
+                preq.cancel()
+                if tr is not None:
+                    tr.end(span)
+            if not box:
+                # redrives re-pay the CF service but execute the structure
+                # mutation exactly once (the first attempt may have
+                # executed at the CF with only the response lost)
+                box.append(fn())
+            if signal_wait:
+                # CF responds only after observing signal completion (§3.3.2)
+                yield sim.timeout(self._signal_latency)
+            yield sim.timeout(self._latency)
+            if not link.operational:
+                raise InterfaceControlCheck(link.name)
+            link.ops += 1
+        finally:
+            sreq.cancel()
+
+    def _trip_once(self, link, fn: Callable[[], Any], out_bytes: int,
+                   in_bytes: int, data: bool, signal_wait: bool, box: list,
+                   service_factor: float) -> Generator:
         """One guarded link round trip for the robust path.
 
         Never fails as a process: outcomes come back as ``(tag, error)``
@@ -126,7 +173,8 @@ class CfPort:
         an undefused failed event behind.
         """
         try:
-            yield from link.occupy(out_bytes, in_bytes, service)
+            yield from self._round_trip(link, fn, out_bytes, in_bytes, data,
+                                        signal_wait, box, service_factor)
         except Interrupt:
             return ("interrupted", None)
         except Exception as exc:
@@ -150,11 +198,8 @@ class CfPort:
                 last_error = exc
             else:
                 trip = self.sim.process(
-                    self._trip_once(
-                        link, out_bytes, in_bytes,
-                        self._service(fn, data, signal_wait, box,
-                                      service_factor),
-                    ),
+                    self._trip_once(link, fn, out_bytes, in_bytes, data,
+                                    signal_wait, box, service_factor),
                     name="cf-trip",
                 )
                 timer = self.sim.timeout(cfg.request_timeout)
@@ -192,73 +237,6 @@ class CfPort:
             yield self.sim.timeout(backoff)
         raise last_error
 
-    def _trip(self, fn: Callable[[], Any], out_bytes: int, in_bytes: int,
-              data: bool, signal_wait: bool, box: list,
-              service_factor: float) -> Generator:
-        """The link round trip: plain fast path, or robust when enabled."""
-        if self.config.request_timeout is None:
-            link = self.links.pick()
-            yield from link.occupy(
-                out_bytes, in_bytes,
-                self._service(fn, data, signal_wait, box, service_factor),
-            )
-        else:
-            yield from self._robust_trip(fn, out_bytes, in_bytes, data,
-                                         signal_wait, box, service_factor)
-
-    # -- the flattened fast path --------------------------------------------
-    def _plain_trip(self, fn: Callable[[], Any], out_bytes: int,
-                    in_bytes: int, data: bool, signal_wait: bool, box: list,
-                    service_factor: float) -> Generator:
-        """The general round trip with its generator stack flattened.
-
-        Byte-identical to ``_trip`` with ``request_timeout=None`` — the
-        same resource requests, the same timeouts with the same float
-        arithmetic, the same checks at the same instants — but in one
-        generator frame instead of four (``_trip`` -> ``occupy`` ->
-        ``_service`` -> ``execute``), with per-port constants instead of
-        per-command attribute chains.
-        """
-        sim = self.sim
-        cf = self.cf
-        link = self.links.pick()
-        sreq = link.subchannels.request()
-        try:
-            yield sreq
-            if not link.operational:
-                raise InterfaceControlCheck(link.name)
-            yield sim.timeout(
-                self._latency + (out_bytes + in_bytes) / self._bandwidth
-            )
-            if not link.operational:
-                raise InterfaceControlCheck(link.name)
-            if cf.failed:
-                raise CfFailedError(cf.name)
-            preq = cf.processors.request()
-            try:
-                yield preq
-                if cf.failed:
-                    raise CfFailedError(cf.name)
-                yield sim.timeout(
-                    service_factor * self._cmd_service
-                    + (self._data_cmd_service if data else 0.0)
-                )
-                if cf.failed:
-                    raise CfFailedError(cf.name)
-                cf.commands_executed += 1
-            finally:
-                preq.cancel()
-            box.append(fn())
-            if signal_wait:
-                # CF responds only after observing signal completion
-                yield sim.timeout(self._signal_latency)
-            yield sim.timeout(self._latency)
-            if not link.operational:
-                raise InterfaceControlCheck(link.name)
-            link.ops += 1
-        finally:
-            sreq.cancel()
-
     # -- synchronous --------------------------------------------------------
     def sync(self, fn: Callable[[], Any], out_bytes: int = 64,
              in_bytes: int = 64, data: bool = False,
@@ -272,190 +250,134 @@ class CfPort:
         if not self.node.alive:
             raise SystemDown(self.node.name)
         box: list = []
-        if self._fast:
-            if self._collapse:
-                # Collapsed fast path, fused into this frame: the whole
-                # round trip runs here with *scalar* resource holds — an
-                # idle engine, subchannel, or CF processor is claimed as a
-                # bare occupancy count (no Request object, no grant event,
-                # no ``yield``) — and every merged stop lands on the
-                # bit-identical float instant the general event chain
-                # would have produced (absolute-time scheduling via
-                # ``timeout_at``; same expression shapes for every sum).
-                # A busy stage falls back to the general queueing from
-                # the exact same instant.  Net: 3 calendar events instead
-                # of 8 and no per-stage allocation — see ``_collapse`` in
-                # ``__init__`` for the intra-instant ordering caveat that
-                # keeps this variant out of the verify profile.
-                sim = self.sim
-                cpu = self.node.cpu
-                engines = cpu.engines
-                ereq = None
-                if not engines.claim():
-                    ereq = engines.request()
-                start = -1.0
-                try:
-                    if ereq is not None:
-                        yield ereq
-                    start = sim._now
-                    link = None
-                    try:
-                        link = self.links.pick()
-                    except LinkDownError:
-                        pass
-                    if link is None or not link.subchannels.claim():
-                        # subchannel contention (or no operational link):
-                        # general path from here — its own pick() at
-                        # issue-complete time, its own queueing and error
-                        # timing
-                        yield sim.timeout(self._issue_inflated)
-                        yield from self._plain_trip(fn, out_bytes,
-                                                    in_bytes, data,
-                                                    signal_wait, box,
-                                                    service_factor)
-                        self.sync_ops += 1
-                        return box[0]
-                    subchannels = link.subchannels
-                    try:
-                        # engine-grant time -> command arrival at the CF:
-                        # issue CPU, then one-way latency + transfer, one
-                        # merged event
-                        transfer = (out_bytes + in_bytes) / self._bandwidth
-                        t_arrive = (sim._now + self._issue_inflated) \
-                            + (self._latency + transfer)
-                        yield sim.timeout_at(t_arrive)
-                        if not link.operational:
-                            raise InterfaceControlCheck(link.name)
-                        cf = self.cf
-                        if cf.failed:
-                            raise CfFailedError(cf.name)
-                        svc = service_factor * self._cmd_service + (
-                            self._data_cmd_service if data else 0.0
-                        )
-                        # CF processor: idle -> scalar claim (same
-                        # busy-area accounting, same instants);
-                        # contended -> the command queues exactly as
-                        # ``CouplingFacility.execute`` would
-                        procs = cf.processors
-                        if procs.claim():
-                            try:
-                                yield sim.timeout(svc)
-                            finally:
-                                procs.unclaim()
-                        else:
-                            preq = procs.request()
-                            try:
-                                yield preq
-                                if cf.failed:
-                                    raise CfFailedError(cf.name)
-                                yield sim.timeout(svc)
-                            finally:
-                                preq.cancel()
-                        if cf.failed:
-                            raise CfFailedError(cf.name)
-                        cf.commands_executed += 1
-                        # structure mutation at the exact
-                        # service-completion instant (it may schedule XI
-                        # signals from "now")
-                        box.append(fn())
-                        # optional signal-completion wait + return latency
-                        if signal_wait:
-                            t_done = (sim._now + self._signal_latency) \
-                                + self._latency
-                        else:
-                            t_done = sim._now + self._latency
-                        yield sim.timeout_at(t_done)
-                        if not link.operational:
-                            raise InterfaceControlCheck(link.name)
-                        link.ops += 1
-                        self.fast_syncs += 1
-                    finally:
-                        subchannels.unclaim()
-                finally:
-                    if start >= 0.0:
-                        cpu.busy_seconds += sim._now - start
-                    if ereq is None:
-                        engines.unclaim()
-                    else:
-                        ereq.cancel()
-                self.sync_ops += 1
-                return box[0]
-            # Flattened fast path: the whole round trip in this one frame.
-            # Event-for-event and float-for-float identical to the general
-            # branch below — the win is the Python that *isn't* here: four
-            # nested generator frames, per-command attribute chains, an
-            # MP-inflation pow, and tracer branches.
+        if self._collapse:
+            # Collapsed round trip, fused into this frame: it runs here
+            # with *scalar* resource holds — an idle engine, subchannel,
+            # or CF processor is claimed as a bare occupancy count (no
+            # Request object, no grant event, no ``yield``) — and every
+            # merged stop lands on the bit-identical float instant the
+            # ``_round_trip`` event chain would have produced
+            # (absolute-time scheduling via ``timeout_at``; same
+            # expression shapes for every sum).  A busy stage falls back
+            # to the general queueing from the exact same instant.  Net:
+            # 3 calendar events instead of 8 and no per-stage allocation —
+            # see ``_collapse`` in ``__init__`` for the intra-instant
+            # ordering caveat that keeps this variant out of the verify
+            # profile.
             sim = self.sim
-            cf = self.cf
             cpu = self.node.cpu
-            req = cpu.engines.request()
+            engines = cpu.engines
+            ereq = None
+            if not engines.claim():
+                ereq = engines.request()
             start = -1.0
             try:
-                yield req
+                if ereq is not None:
+                    yield ereq
                 start = sim._now
-                yield sim.timeout(self._issue_inflated)
-                link = self.links.pick()
-                sreq = link.subchannels.request()
+                link = None
                 try:
-                    yield sreq
+                    link = self.links.pick()
+                except LinkDownError:
+                    pass
+                if link is None or not link.subchannels.claim():
+                    # subchannel contention (or no operational link):
+                    # ``_round_trip`` from here — its own pick() at
+                    # issue-complete time, its own queueing and error
+                    # timing
+                    yield sim.timeout(self._issue_inflated)
+                    yield from self._round_trip(self.links.pick(), fn,
+                                                out_bytes, in_bytes, data,
+                                                signal_wait, box,
+                                                service_factor)
+                    self.sync_ops += 1
+                    return box[0]
+                subchannels = link.subchannels
+                try:
+                    # engine-grant time -> command arrival at the CF:
+                    # issue CPU, then one-way latency + transfer, one
+                    # merged event
+                    transfer = (out_bytes + in_bytes) / self._bandwidth
+                    t_arrive = (sim._now + self._issue_inflated) \
+                        + (self._latency + transfer)
+                    yield sim.timeout_at(t_arrive)
                     if not link.operational:
                         raise InterfaceControlCheck(link.name)
-                    yield sim.timeout(
-                        self._latency
-                        + (out_bytes + in_bytes) / self._bandwidth
-                    )
-                    if not link.operational:
-                        raise InterfaceControlCheck(link.name)
+                    cf = self.cf
                     if cf.failed:
                         raise CfFailedError(cf.name)
-                    preq = cf.processors.request()
-                    try:
-                        yield preq
-                        if cf.failed:
-                            raise CfFailedError(cf.name)
-                        yield sim.timeout(
-                            service_factor * self._cmd_service
-                            + (self._data_cmd_service if data else 0.0)
-                        )
-                        if cf.failed:
-                            raise CfFailedError(cf.name)
-                        cf.commands_executed += 1
-                    finally:
-                        preq.cancel()
+                    svc = service_factor * self._cmd_service + (
+                        self._data_cmd_service if data else 0.0
+                    )
+                    # CF processor: idle -> scalar claim (same busy-area
+                    # accounting, same instants); contended -> the
+                    # command queues exactly as ``_round_trip`` would
+                    procs = cf.processors
+                    if procs.claim():
+                        try:
+                            yield sim.timeout(svc)
+                        finally:
+                            procs.unclaim()
+                    else:
+                        preq = procs.request()
+                        try:
+                            yield preq
+                            if cf.failed:
+                                raise CfFailedError(cf.name)
+                            yield sim.timeout(svc)
+                        finally:
+                            preq.cancel()
+                    if cf.failed:
+                        raise CfFailedError(cf.name)
+                    cf.commands_executed += 1
+                    # structure mutation at the exact service-completion
+                    # instant (it may schedule XI signals from "now")
                     box.append(fn())
+                    # optional signal-completion wait + return latency
                     if signal_wait:
-                        yield sim.timeout(self._signal_latency)
-                    yield sim.timeout(self._latency)
+                        t_done = (sim._now + self._signal_latency) \
+                            + self._latency
+                    else:
+                        t_done = sim._now + self._latency
+                    yield sim.timeout_at(t_done)
                     if not link.operational:
                         raise InterfaceControlCheck(link.name)
                     link.ops += 1
+                    self.fast_syncs += 1
                 finally:
-                    sreq.cancel()
+                    subchannels.unclaim()
             finally:
                 if start >= 0.0:
                     cpu.busy_seconds += sim._now - start
-                req.cancel()
+                if ereq is None:
+                    engines.unclaim()
+                else:
+                    ereq.cancel()
             self.sync_ops += 1
-            self.fast_syncs += 1
             return box[0]
         tr = self.trace
         span = -1 if tr is None else tr.begin("cf.sync")
+        sim = self.sim
         cpu = self.node.cpu
         req = cpu.engines.request()
         start = -1.0
         try:
             yield req
-            start = self.sim.now
+            start = sim._now
             # command build / response handling path length (MP-inflated)
-            yield self.sim.timeout(self._issue_inflated)
-            yield from self._trip(fn, out_bytes, in_bytes, data,
-                                  signal_wait, box, service_factor)
+            yield sim.timeout(self._issue_inflated)
+            if self.config.request_timeout is None:
+                yield from self._round_trip(self.links.pick(), fn, out_bytes,
+                                            in_bytes, data, signal_wait, box,
+                                            service_factor)
+            else:
+                yield from self._robust_trip(fn, out_bytes, in_bytes, data,
+                                             signal_wait, box, service_factor)
         finally:
             if start >= 0.0:
-                # charge the spin actually burned — previously only
-                # credited on success, dropping the elapsed time when the
-                # trip died mid-flight (SystemDown / CfFailedError / ICC)
-                cpu.busy_seconds += self.sim.now - start
+                # charge the spin actually burned, also when the trip
+                # died mid-flight (SystemDown / CfFailedError / ICC)
+                cpu.busy_seconds += sim._now - start
             req.cancel()
             if tr is not None:
                 tr.end(span)
@@ -476,19 +398,17 @@ class CfPort:
             raise SystemDown(self.node.name)
         cpu = self.node.cpu
         box: list = []
-        if self._fast:
-            yield from cpu.consume(self.config.sync_issue_cpu)
-            yield from self._plain_trip(fn, out_bytes, in_bytes, data,
-                                        signal_wait, box, service_factor)
-            yield from cpu.consume(self.config.async_extra_cpu)
-            self.async_ops += 1
-            return box[0]
         tr = self.trace
         span = -1 if tr is None else tr.begin("cf.async")
         try:
             yield from cpu.consume(self.config.sync_issue_cpu)
-            yield from self._trip(fn, out_bytes, in_bytes, data,
-                                  signal_wait, box, service_factor)
+            if self.config.request_timeout is None:
+                yield from self._round_trip(self.links.pick(), fn, out_bytes,
+                                            in_bytes, data, signal_wait, box,
+                                            service_factor)
+            else:
+                yield from self._robust_trip(fn, out_bytes, in_bytes, data,
+                                             signal_wait, box, service_factor)
             yield from cpu.consume(self.config.async_extra_cpu)
         finally:
             if tr is not None:

@@ -70,41 +70,6 @@ class CouplingFacility:
     def structure(self, name: str):
         return self.structures.get(name)
 
-    # -- command execution -----------------------------------------------------
-    def execute(self, service_time: float):
-        """Process step: run one command on a CF processor.
-
-        Queues for a CF engine; the caller composes this inside a coupling
-        link round trip.  Raises :class:`CfFailedError` if the CF dies
-        before or during execution.
-        """
-        if self.failed:
-            raise CfFailedError(self.name)
-        tr = self.trace
-        span = -1 if tr is None else tr.begin("cf.service")
-        req = self.processors.request()
-        try:
-            yield req
-            if self.failed:
-                raise CfFailedError(self.name)
-            yield self.sim.timeout(service_time)
-            if self.failed:
-                raise CfFailedError(self.name)
-            self.commands_executed += 1
-        finally:
-            req.cancel()
-            if tr is not None:
-                tr.end(span)
-
-    def try_reserve_processor(self):
-        """Event-free CF-processor claim for the uncontended fast path.
-
-        Returns a granted request (release via ``cancel()``) when a
-        processor is idle with nobody queued, else ``None`` — the caller
-        falls back to queueing exactly as :meth:`execute` would.
-        """
-        return self.processors.try_acquire()
-
     def signal(self, apply: Callable[[], None]) -> None:
         """Deliver a CF→system signal: apply after latency, zero target CPU."""
         self.signals_sent += 1

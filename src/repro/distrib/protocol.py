@@ -23,16 +23,15 @@ conversation between server and worker (protocol version 2)::
               (clean departure: unstarted pipelined tasks go back)
     server -> {"op": "bye"}
 
-**Versioning.** The worker's ``hello`` carries the highest protocol
-version it speaks (a missing ``proto`` field means version 1 — the
-original strict request/reply protocol); the server answers with the
-minimum of both sides.  Version-2 features (batched ``tasks``/
-``results`` frames, frame compression, protocol-level cache
-read-through, clean ``bye`` with abandoned tasks) are only used when
-both ends negotiated version 2, so old workers still connect and drain
-tasks one frame at a time.  Task *pipelining* needs no version gate:
-a version-1 worker simply leaves queued ``task`` frames in its socket
-buffer and answers them in order.
+**Versioning.** The worker's ``hello`` carries the protocol version
+it speaks (a missing ``proto`` field is version 1, the original strict
+request/reply protocol).  Server and worker must speak the same
+version: fleets are launched from one checkout, so a mismatch means a
+stale worker.  The server answers it with ``{"op": "error", "error":
+...}`` naming both versions and drops the connection; the worker
+raises :class:`ProtocolError` on that frame, and likewise on a
+``welcome`` of another version.  No feature is negotiated by version;
+compression alone is negotiated, by the ``compress`` flags.
 
 **Compression.** When both sides offer ``compress`` at hello/welcome,
 every subsequent frame may be sent compressed: the JSON bytes are
@@ -74,10 +73,10 @@ __all__ = [
     "send_message",
 ]
 
-#: Highest protocol version this build speaks.  Version 1 is the
-#: original one-line-JSON strict request/reply protocol; version 2 adds
-#: batched frames, zlib frame compression, protocol-level cache
-#: read-through and clean worker departure.
+#: The protocol version this build speaks, and the only one it accepts.
+#: Version 1 was the original one-line-JSON strict request/reply
+#: protocol; version 2 adds batched frames, zlib frame compression,
+#: protocol-level cache read-through and clean worker departure.
 PROTO_VERSION = 2
 
 #: Upper bound on one frame, compressed or not (a 64 MiB line is not a
@@ -135,10 +134,10 @@ def connect(address: str, timeout: Optional[float] = None) -> socket.socket:
 def send_message(wfile, message: dict, compress: bool = False) -> None:
     """Write one message and flush.
 
-    Uncompressed frames are compact JSON + newline (protocol v1's only
-    form); with ``compress`` the JSON bytes go out zlib-deflated behind
-    a ``z<len>\\n`` header.  Only enable ``compress`` after both sides
-    negotiated it at hello/welcome.
+    Uncompressed frames are compact JSON + newline; with ``compress``
+    the JSON bytes go out zlib-deflated behind a ``z<len>\\n`` header.
+    Only enable ``compress`` after both sides negotiated it at
+    hello/welcome.
     """
     data = json.dumps(message, separators=(",", ":")).encode("utf-8")
     if compress:

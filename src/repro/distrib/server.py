@@ -1,17 +1,18 @@
 """The submitter-side work-queue server for distributed sweeps.
 
 A :class:`SweepServer` holds the pending ``(index, spec_dict)`` tasks of
-one sweep and serves them to worker connections.  Since protocol v2 the
-dispatch is **pipelined**: the server keeps up to ``depth`` tasks in
-flight per worker instead of the original strict pull-per-round-trip,
-so a worker always has its next task buffered locally and never idles
-for a network round trip between points.  Multi-task refills go out as
-one batched ``tasks`` frame, results may come back batched, and frames
-are zlib-compressed when the worker negotiated it at hello.
+one sweep and serves them to worker connections.  Dispatch is
+**pipelined**: the server keeps up to ``depth`` tasks in flight per
+worker, so a worker always has its next task buffered locally and never
+idles for a network round trip between points.  Multi-task refills go
+out as one batched ``tasks`` frame, results may come back batched, and
+frames are zlib-compressed when the worker asked for it at hello.  A
+worker whose hello names another protocol version is refused with an
+``error`` frame.
 
 Workers that cannot see the submitter's filesystem still skip warm
-points: a v2 worker may ask ``{"op": "cache_get", "hash": ...}`` and
-the server answers from its ``.runcache`` — protocol-level cache
+points: a worker may ask ``{"op": "cache_get", "hash": ...}`` and the
+server answers from its ``.runcache`` — protocol-level cache
 read-through.
 
 Fault model (the paper's, scaled down): a worker is allowed to die.  If
@@ -249,25 +250,31 @@ class SweepServer:
                     f"{hello.get('op') if isinstance(hello, dict) else hello!r}"
                 )
             worker = str(hello.get("worker", "?"))
-            proto = min(PROTO_VERSION, int(hello.get("proto", 1)))
-            compress = bool(self._compress and proto >= 2
-                            and hello.get("compress"))
+            proto = hello.get("proto", 1)  # v1 hellos carried no field
+            if proto != PROTO_VERSION:
+                # fleets run from one checkout: a mismatch is a stale
+                # worker, not a peer to talk down to
+                error = (f"worker {worker} speaks protocol {proto!r}; "
+                         f"this server speaks protocol {PROTO_VERSION}")
+                send_message(wfile, {"op": "error", "error": error})
+                raise ProtocolError(error)
+            compress = bool(self._compress and hello.get("compress"))
             send_message(wfile, {
                 "op": "welcome",
-                "proto": proto,
+                "proto": PROTO_VERSION,
                 "compress": compress,
                 "depth": self._depth,
                 "cache": self._cache_root,
-                "cache_proto": bool(proto >= 2 and self._cache_root),
+                "cache_proto": bool(self._cache_root),
             })
-            log.info("worker %s connected (proto %d%s)", worker, proto,
-                     ", compressed" if compress else "")
+            log.info("worker %s connected%s", worker,
+                     " (compressed)" if compress else "")
             inbox: "queue.Queue" = queue.Queue()
             reader = threading.Thread(
                 target=self._read_loop, args=(rfile, inbox),
                 name=f"sweep-server-read-{worker}", daemon=True)
             reader.start()
-            self._dispatch(worker, proto, compress, wfile, inbox, in_flight)
+            self._dispatch(worker, compress, wfile, inbox, in_flight)
         except (ConnectionError, OSError, ProtocolError, ValueError,
                 KeyError, TypeError) as exc:
             if self._closing.is_set():
@@ -297,13 +304,13 @@ class SweepServer:
             except OSError:
                 pass
 
-    def _dispatch(self, worker: str, proto: int, compress: bool,
+    def _dispatch(self, worker: str, compress: bool,
                   wfile, inbox: "queue.Queue",
                   in_flight: Dict[int, Tuple[int, dict]]) -> None:
         """Multiplex one worker's inbox against the shared task queue."""
         while not self._closing.is_set():
             # refill the pipeline up to depth; multi-task refills go out
-            # as one batched frame on v2 connections
+            # as one batched frame
             batch: List[Tuple[int, dict]] = []
             while len(in_flight) < self._depth:
                 try:
@@ -316,7 +323,7 @@ class SweepServer:
                 in_flight[task[0]] = task
                 batch.append(task)
             if batch:
-                if proto >= 2 and len(batch) > 1:
+                if len(batch) > 1:
                     send_message(wfile, {
                         "op": "tasks",
                         "tasks": [{"id": i, "spec": s} for i, s in batch],
@@ -348,12 +355,12 @@ class SweepServer:
             op = msg.get("op") if isinstance(msg, dict) else None
             if op == "result":
                 self._finish(worker, msg, in_flight)
-            elif op == "results" and proto >= 2:
+            elif op == "results":
                 for sub in msg.get("results", ()):
                     self._finish(worker, sub, in_flight)
             elif op == "error":
                 self._finish(worker, msg, in_flight)
-            elif op == "cache_get" and proto >= 2:
+            elif op == "cache_get":
                 send_message(wfile, {
                     "op": "cache_value",
                     "id": msg.get("id"),

@@ -10,9 +10,9 @@ Run one (or many, on any host that can reach the server and import
         --cache-mode proto          # no shared filesystem: read the
                                     # submitter's cache over the wire
 
-The worker offers protocol v2 at hello (batched frames, zlib frame
-compression, protocol cache read-through) and falls back to the v1
-strict request/reply loop against an old server.  The server may keep
+The worker names its protocol version at hello and offers zlib frame
+compression; a server of another version refuses it with an ``error``
+frame, which surfaces as :class:`ProtocolError`.  The server may keep
 several tasks in flight here (pipelining); they queue locally and run
 one at a time, so the next task's bytes are already on hand when the
 current one finishes.  Consecutive cache-hit answers are batched into
@@ -71,12 +71,12 @@ class GracefulExit(BaseException):
 
 
 def _resolve_cache(cache_mode: str, cache_root: Optional[str],
-                   welcome: dict, proto: int) -> Tuple[str, Optional[str]]:
+                   welcome: dict) -> Tuple[str, Optional[str]]:
     """Decide how this worker consults the result cache: (mode, root)."""
     import os
 
     advertised = welcome.get("cache")
-    offers_proto = bool(proto >= 2 and welcome.get("cache_proto"))
+    offers_proto = bool(welcome.get("cache_proto"))
     if cache_mode == "off":
         return "off", None
     if cache_mode == "fs":
@@ -128,21 +128,25 @@ def serve(address: str, name: str = "worker",
                              "proto": PROTO_VERSION,
                              "compress": bool(compress)})
         welcome = recv_message(rfile)
+        if isinstance(welcome, dict) and welcome.get("op") == "error":
+            raise ProtocolError(f"server refused hello: {welcome.get('error')}")
         if not isinstance(welcome, dict) or welcome.get("op") != "welcome":
             return done
-        proto = min(PROTO_VERSION, int(welcome.get("proto", 1)))
+        if welcome.get("proto") != PROTO_VERSION:
+            raise ProtocolError(
+                f"server speaks protocol {welcome.get('proto')!r}; this "
+                f"worker speaks protocol {PROTO_VERSION}")
         wire_compress = bool(compress and welcome.get("compress"))
-        mode, root = _resolve_cache(cache_mode, cache_root, welcome, proto)
+        mode, root = _resolve_cache(cache_mode, cache_root, welcome)
 
         def flush() -> None:
             if not outbuf:
                 return
-            if proto >= 2 and len(outbuf) > 1:
+            if len(outbuf) > 1:
                 send_message(wfile, {"op": "results",
                                      "results": list(outbuf)}, wire_compress)
             else:
-                for m in outbuf:
-                    send_message(wfile, m, wire_compress)
+                send_message(wfile, outbuf[0], wire_compress)
             outbuf.clear()
 
         def ingest(msg) -> bool:
@@ -157,14 +161,12 @@ def serve(address: str, name: str = "worker",
             return False  # bye, or something we do not understand
 
         def goodbye() -> None:
-            """Flush results and hand unstarted tasks back (protocol v2)."""
+            """Flush results and hand unstarted tasks back."""
             flush()
-            if proto >= 2:
-                send_message(wfile, {
-                    "op": "bye", "worker": name,
-                    "abandoned": [t["id"] for t in pending],
-                }, wire_compress)
-                wfile.flush()
+            send_message(wfile, {
+                "op": "bye", "worker": name,
+                "abandoned": [t["id"] for t in pending],
+            }, wire_compress)
 
         def run_one(task: dict) -> Tuple[dict, bool]:
             spec_dict = task["spec"]

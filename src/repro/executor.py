@@ -407,7 +407,7 @@ class WorkQueueBackend(ExecutorBackend):
     client processes connect, pull tasks over versioned JSON frames,
     and stream canonical payloads back.  Dispatch is **pipelined**: the
     server keeps up to ``depth`` tasks in flight per worker (batched
-    into single frames on protocol-v2 connections) so workers never
+    into single frames) so workers never
     idle for a round trip between points, and frames are
     zlib-``compress``-ed when the worker negotiates it.  A worker that
     dies mid-task has its in-flight tasks resubmitted to the queue (up

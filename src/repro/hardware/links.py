@@ -57,51 +57,6 @@ class CouplingLink:
     def busy(self) -> int:
         return self.subchannels.in_use + self.subchannels.queue_length
 
-    def try_reserve(self):
-        """Event-free subchannel claim for the uncontended fast path.
-
-        Returns a granted request (release via ``cancel()``) when the link
-        is up and a subchannel is free with nobody queued, else ``None`` —
-        the caller falls back to the general :meth:`occupy` round trip.
-        """
-        if not self.operational:
-            return None
-        return self.subchannels.try_acquire()
-
-    def occupy(self, nbytes_out: int, nbytes_in: int, cf_service):
-        """Process step: hold a subchannel for one command round trip.
-
-        ``cf_service`` is a generator performing the CF-side execution
-        (queueing for a CF processor); the subchannel stays held for the
-        whole round trip, like a real subchannel active with a command.
-        Returns the total round-trip duration.
-
-        If the link fails while the command is in flight, the next
-        resume point raises :class:`InterfaceControlCheck` — the command
-        may or may not have executed at the CF, exactly the ambiguity a
-        real interface control check presents.
-        """
-        if not self.operational:
-            raise LinkDownError(self.name)
-        start = self.sim.now
-        req = self.subchannels.request()
-        try:
-            yield req
-            if not self.operational:
-                raise InterfaceControlCheck(self.name)
-            transfer = self.config.transfer_time(nbytes_out + nbytes_in)
-            yield self.sim.timeout(self.config.latency + transfer)
-            if not self.operational:
-                raise InterfaceControlCheck(self.name)
-            yield from cf_service
-            yield self.sim.timeout(self.config.latency)
-            if not self.operational:
-                raise InterfaceControlCheck(self.name)
-            self.ops += 1
-        finally:
-            req.cancel()
-        return self.sim.now - start
-
 
 class LinkSet:
     """All links between one system and one CF, with path selection."""

@@ -92,7 +92,10 @@ def test_congested_cf_times_out_then_completes():
     def blocker():
         # occupy both CF engines for 5 ms: every attempt inside that
         # window exceeds the 2 ms request timeout
-        yield from cf.execute(0.005)
+        req = cf.processors.request()
+        yield req
+        yield plex.sim.timeout(0.005)
+        req.cancel()
 
     def work():
         out = yield from port.sync(lambda: "ok")
@@ -116,7 +119,10 @@ def test_exhausted_retry_budget_raises_timeout():
     errors = []
 
     def blocker():
-        yield from cf.execute(1.0)  # congested for the whole test
+        req = cf.processors.request()
+        yield req
+        yield plex.sim.timeout(1.0)  # congested for the whole test
+        req.cancel()
 
     def work():
         try:

@@ -1,15 +1,18 @@
 """Protocol v2, launcher, and fleet-robustness tests for repro.distrib.
 
-Complements ``test_distrib.py`` (which pins the v1-era behavior and the
-byte-determinism contract) with the version-2 surface: malformed-input
-handling, compression negotiation, pipelining depths, clean SIGTERM
-departure, spec deduplication, and the launcher layer.
+Complements ``test_distrib.py`` (which pins the basic work-queue
+behavior and the byte-determinism contract) with the version-2 surface:
+malformed-input handling, version refusal, compression negotiation,
+pipelining depths, clean SIGTERM departure, spec deduplication, and the
+launcher layer.
 """
 
 import io
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 import zlib
 from pathlib import Path
@@ -24,8 +27,10 @@ from repro.distrib import (
     parse_worker_spec,
 )
 from repro.distrib.launcher import LocalLauncher, _Supervised, worker_env
+from repro.distrib.worker import serve as worker_serve
 from repro.distrib.protocol import (
     MAX_FRAME,
+    PROTO_VERSION,
     connect,
     recv_message,
     send_message,
@@ -172,20 +177,62 @@ def test_negotiation_v2_with_compression():
         server.close()
 
 
-def test_negotiation_v1_worker_gets_v1_no_compression():
-    server, addr = _server()
+def test_mismatched_protocol_version_is_refused():
+    """A hello of another version gets an error frame naming both
+    versions and loses its connection; the server then still finishes
+    every task for a worker of its own version."""
+    server, addr = _server(3)
     try:
         # a v1 hello has no proto/compress fields at all
-        sock, rfile, _w, welcome = _handshake(
-            addr, {"op": "hello", "worker": "old"})
-        assert welcome["proto"] == 1
-        assert welcome["compress"] is False
-        # pipelined dispatch still speaks v1: single task frames only
-        first = recv_message(rfile)
-        assert first["op"] == "task"
-        sock.close()
+        for hello, theirs in (({"op": "hello", "worker": "old"}, 1),
+                              ({"op": "hello", "worker": "new",
+                                "proto": PROTO_VERSION + 1},
+                               PROTO_VERSION + 1)):
+            sock, rfile, _w, reply = _handshake(addr, hello)
+            assert reply["op"] == "error"
+            assert f"protocol {theirs}" in reply["error"]
+            assert f"protocol {PROTO_VERSION}" in reply["error"]
+            assert recv_message(rfile) is None  # connection dropped
+            sock.close()
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.distrib.worker",
+             "--connect", addr, "--name", "current"],
+            env=worker_env([ROOT]))
+        got = sorted(d.index for d in server.results(
+            procs=[proc], startup_timeout=30))
+        assert got == [0, 1, 2]
     finally:
         server.close()
+
+
+@pytest.mark.parametrize("reply", [
+    {"op": "error",
+     "error": f"worker w speaks protocol {PROTO_VERSION}; "
+              f"this server speaks protocol {PROTO_VERSION + 1}"},
+    {"op": "welcome", "proto": 1, "compress": False, "depth": 1},
+], ids=["refused", "old-welcome"])
+def test_worker_refuses_a_server_of_another_version(reply):
+    """The worker side of the version check: a refusal, or a welcome of
+    another version, raises instead of draining tasks."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer_one_hello():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as rfile, conn.makefile("wb") as wf:
+            recv_message(rfile)
+            send_message(wf, reply)
+
+    server = threading.Thread(target=answer_one_hello, daemon=True)
+    server.start()
+    try:
+        with pytest.raises(ProtocolError, match="protocol"):
+            worker_serve(f"127.0.0.1:{listener.getsockname()[1]}",
+                         name="w", connect_timeout=10)
+    finally:
+        server.join(timeout=10)
+        listener.close()
+    assert not server.is_alive()
 
 
 def test_server_can_refuse_compression():

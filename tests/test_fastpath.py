@@ -1,16 +1,17 @@
-"""Tests for the uncontended fast paths through the CF command stack.
+"""Tests for the fast paths through the CF command stack.
 
-The *byte-safe* fast paths (``repro.cf.commands.FAST_PATH``, the
+The *byte-safe* paths (the one CF round trip ``CfPort._round_trip``, the
 lock-manager single-frame grant, the buffer-manager ``try_get_local``)
 are pure machinery: they must change *nothing* observable about a run —
 not the event timing, not the RNG draw order, not a single statistic.
-The *collapsed* execution (``profile="sweep"``: event merging + scalar
-resource holds) trades byte identity for speed and must stay
-statistically neutral.  These tests pin both
-contracts — including the full 22-point golden grid against the
-pre-refactor payload hashes — gate the events-per-transaction cost
-metric, and check the robustness/chaos configurations stay off the fast
-path entirely.
+Tracing is observation only under the verify profile: a traced run's
+payload minus its ``trace.*`` keys is byte-identical to the untraced
+one.  The *collapsed* execution (``profile="sweep"``: event merging +
+scalar resource holds) trades byte identity for speed and must stay
+statistically neutral.  These tests pin these contracts — including the
+full 22-point golden grid against the pre-refactor payload hashes —
+gate the events-per-transaction cost metric, and check the
+robustness/chaos configurations never collapse.
 """
 
 import hashlib
@@ -20,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.cf.commands as commands
 from repro.config import CfConfig
 from repro.executor import _payload_from
 from repro.experiments.common import QUICK, scaled_config
@@ -29,7 +29,7 @@ from repro.experiments.tab1_overhead import tab1_specs
 from repro.options import RunOptions
 from repro.runner import build_loaded_sysplex, run_oltp
 from repro.runspec import canonical_json
-from repro.simkernel import Resource, Simulator
+from repro.simkernel import Simulator
 
 #: events_per_committed_txn measured for the Table-1 base quick point
 #: (1 system, no data sharing, seed 1) under the golden verify profile
@@ -58,35 +58,7 @@ def _ports(plex):
                 yield xes.port
 
 
-# ------------------------------------------------------------ equivalence ----
-def test_fast_path_identical_under_contention(monkeypatch):
-    """Fast on vs. off: byte-identical results on a contended scenario.
-
-    A single CF processor serving 8 saturated systems queues commands by
-    construction, so the flattened path's contended branches (subchannel
-    wait, processor wait) all execute — and must reproduce the general
-    path's event sequence exactly.
-    """
-    # one slow CF processor serving 8 systems: commands queue at the
-    # subchannels and at the CF engine on most requests
-    cfg = scaled_config(8, 1, seed=1,
-                        cf=CfConfig(n_cpus=1, cmd_service=12e-6,
-                                    data_cmd_service=24e-6))
-    verify = RunOptions(profile="verify")
-
-    monkeypatch.setattr(commands, "FAST_PATH", False)
-    plex_gen, res_gen = _run(cfg, options=verify)
-    assert all(p.fast_syncs == 0 for p in _ports(plex_gen))
-
-    monkeypatch.setattr(commands, "FAST_PATH", True)
-    plex_fast, res_fast = _run(cfg, options=verify)
-    assert sum(p.fast_syncs for p in _ports(plex_fast)) > 0
-
-    # contended by construction: the lone CF processor is the bottleneck
-    assert res_gen.cf_utilization > 0.5
-    assert res_fast.to_dict() == res_gen.to_dict()
-
-
+# ----------------------------------------------------------- collapse ----
 def test_collapsed_mode_statistically_neutral():
     """The sweep profile merges events (not byte-safe at saturation) but
     must stay statistically indistinguishable from the golden path."""
@@ -199,61 +171,105 @@ def test_sweep_default_statistically_neutral_vs_golden():
             g["response_mean"], rel=0.25), label
 
 
+# --------------------------------------------------- tracing is passive ----
+def _strip_trace(data):
+    """``data`` without any ``trace.*`` key, at any depth."""
+    if isinstance(data, dict):
+        return {k: _strip_trace(v) for k, v in data.items()
+                if not str(k).startswith("trace.")}
+    if isinstance(data, list):
+        return [_strip_trace(v) for v in data]
+    return data
+
+
+def _assert_traced_is_untraced(cfg):
+    """Run ``cfg`` under verify untraced and traced; return the untraced
+    result after checking the traced payload minus ``trace.*`` keys is
+    the untraced payload, byte for byte."""
+    plex_off, res_off = _run(cfg, options=RunOptions(profile="verify"))
+    plex_on, res_on = _run(cfg, options=RunOptions(profile="verify",
+                                                   tracing=True))
+    assert plex_off.tracer is None
+    categories = {span.category for span in plex_on.tracer.spans}
+    assert {"cf.sync", "cf.service"} <= categories
+    assert any(k.startswith("trace.") for k in res_on.extras)
+    assert (canonical_json(_strip_trace(res_on.to_dict()))
+            == canonical_json(res_off.to_dict()))
+    return res_off
+
+
+def test_fast_path_identical_under_contention():
+    """The untraced round trip and the traced one: byte-identical results
+    on a contended scenario.
+
+    A single CF processor serving 8 saturated systems queues commands by
+    construction, so ``_round_trip``'s contended branches (subchannel
+    wait, processor wait) all execute — untraced, and traced with its
+    ``cf.sync``/``cf.service`` spans open around them — and must give
+    the same run.
+    """
+    # one slow CF processor serving 8 systems: commands queue at the
+    # subchannels and at the CF engine on most requests
+    cfg = scaled_config(8, 1, seed=1,
+                        cf=CfConfig(n_cpus=1, cmd_service=12e-6,
+                                    data_cmd_service=24e-6))
+    res = _assert_traced_is_untraced(cfg)
+    # contended by construction: the lone CF processor is the bottleneck
+    assert res.cf_utilization > 0.5
+
+
+def test_tracing_is_observation_only_under_verify():
+    """Traced and untraced verify runs are the same run.
+
+    Both go through ``CfPort._round_trip``; the tracer only records
+    spans.  Checked on a small unsaturated config and on the golden
+    points (the ``_SUBSET``, all 22 under ``REPRO_FULL_GRID``): the
+    traced payload minus its ``trace.*`` keys equals the untraced
+    payload byte for byte.  The contended case is
+    ``test_fast_path_identical_under_contention``.
+    """
+    _assert_traced_is_untraced(scaled_config(2, 1, seed=1))
+
+    specs = _grid_specs()
+    labels = list(specs) if os.environ.get("REPRO_FULL_GRID") else _SUBSET
+    for label in labels:
+        off, on = (_payload_from(specs[label].replace(
+            profile="verify", tracing=tracing).run())
+            for tracing in (False, True))
+        assert any(k.startswith("trace.") for k in on["data"]["extras"])
+        assert canonical_json(_strip_trace(json.loads(canonical_json(on)))) \
+            == canonical_json(off), label
+
+
+def test_tracing_disables_fast_path():
+    """Under the sweep profile a span tracer turns the collapsed sync
+    off: its merged events have no begin/end points to record."""
+    cfg = scaled_config(2, 1, seed=1)
+    plex, _gen = build_loaded_sysplex(cfg, options=RunOptions())
+    assert all(p._collapse for p in _ports(plex))
+    plex, _gen = build_loaded_sysplex(
+        cfg, options=RunOptions(tracing=True))
+    ports = list(_ports(plex))
+    assert ports and all(not p._collapse for p in ports)
+
+
 # ------------------------------------------------------ robustness gating ----
-def test_request_timeout_disables_fast_path():
-    """Chaos/robustness runs (request_timeout set) need the general path's
-    retry/ICC machinery — the fast path must never engage."""
+def test_request_timeout_never_collapses():
+    """Chaos/robustness runs (request_timeout set) need the timeout and
+    redrive machinery of ``_robust_trip`` — even under the sweep profile
+    the collapsed sync must never engage."""
     cfg = scaled_config(2, 1, seed=1,
                         cf=CfConfig(request_timeout=0.005))
-    plex, result = _run(cfg, duration=0.15, warmup=0.1)
+    plex, result = _run(cfg, duration=0.15, warmup=0.1,
+                        options=RunOptions(profile="sweep"))
     ports = list(_ports(plex))
-    assert ports and all(not p._fast for p in ports)
+    assert ports and all(not p._collapse for p in ports)
     assert all(p.fast_syncs == 0 for p in ports)
     assert sum(p.sync_ops for p in ports) > 0
     assert result.completed > 0
 
 
-def test_tracing_disables_fast_path():
-    cfg = scaled_config(2, 1, seed=1)
-    plex, _gen = build_loaded_sysplex(
-        cfg, options=RunOptions(tracing=True))
-    ports = list(_ports(plex))
-    assert ports and all(not p._fast for p in ports)
-
-
 # ------------------------------------------------------ kernel primitives ----
-def test_try_acquire_grants_only_when_truly_free():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    req = res.try_acquire()
-    assert req is not None and req.processed
-    assert res.try_acquire() is None  # full
-    req.cancel()
-    assert res.try_acquire() is not None
-
-
-def test_try_acquire_defers_to_waiters():
-    """A queued waiter must keep FIFO priority over opportunistic claims."""
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    first = res.request()
-
-    got = []
-
-    def waiter():
-        req = res.request()
-        yield req
-        got.append("waiter")
-        req.cancel()
-
-    sim.process(waiter(), name="w")
-    sim.run(until=0.1)
-    assert res.try_acquire() is None  # unit busy AND a waiter queued
-    first.cancel()
-    sim.run(until=0.2)
-    assert got == ["waiter"]
-
-
 def test_timeout_at_matches_relative_chain():
     sim = Simulator()
     seen = []

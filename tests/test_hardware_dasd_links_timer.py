@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.config import CpuConfig, DasdConfig, LinkConfig, XcfConfig
+from repro.cf import CfPort, CouplingFacility
+from repro.config import CfConfig, CpuConfig, DasdConfig, LinkConfig, XcfConfig
 from repro.hardware import (
     CpuComplex,
     DasdDevice,
@@ -147,15 +148,17 @@ def test_linkset_round_trip_time():
     sim = Simulator()
     cfg = LinkConfig(latency=5e-6, bandwidth=100e6)
     ls = LinkSet(sim, cfg)
+    cf_cfg = CfConfig(cmd_service=4e-6)
+    port = CfPort(SystemNode(sim, SysplexConfig(n_systems=1), index=0),
+                  CouplingFacility(sim, cf_cfg), ls, cf_cfg)
     rt = []
 
-    def noop_service():
-        yield sim.timeout(4e-6)
-
     def work():
-        link = ls.pick()
-        dur = yield sim.process(link.occupy(256, 64, noop_service()))
-        rt.append(dur)
+        start = sim.now
+        yield from port._round_trip(ls.pick(), lambda: None, 256, 64,
+                                    data=False, signal_wait=False, box=[],
+                                    service_factor=1.0)
+        rt.append(sim.now - start)
 
     sim.process(work())
     sim.run()
